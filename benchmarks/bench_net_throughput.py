@@ -1,17 +1,11 @@
 """Network serving throughput: queries/sec over the socket tier from
-separate client processes, vs worker-process count.
+separate client processes.
 
 ``bench_service_throughput.py`` measures the micro-batching engine from
 in-process threads; this benchmark puts the full serving stack on the
 clock — client processes, the JSON wire codec, TCP, the thread-per-
-connection front end, admission control, and (on the ``num_workers``
-axis) fork-pool dispatch.  The gap between the two benchmarks is the
-cost of the wire; the scaling across ``num_workers`` is what network
-clients actually observe.
-
-A final cell republishes the catalog mid-load with ``num_workers=2`` —
-the cross-process hot-swap path — and asserts zero failed requests and
-post-swap bounds served from the new version.
+connection front end and admission control.  The gap between the two
+benchmarks is the cost of the wire.
 
 The committed snapshot ``BENCH_net.json`` tracks the trajectory across
 PRs; like the other snapshots it is only refreshed at the default
@@ -23,22 +17,16 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import threading
 
-import numpy as np
 import pytest
 
-from repro.core.safebound import SafeBound, SafeBoundConfig
-from repro.service.catalog import CatalogBackedSafeBound, StatsCatalog
-from repro.service.ingest import UpdateIngest
+from repro.core.safebound import SafeBound
 from repro.service.net import NetServer, generate_load_net
 from repro.service.server import EstimationServer
 from repro.workloads import make_stats_ceb
 
 NET_SNAPSHOT_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_net.json"
 
-# 0 = in-thread serving behind the socket; >1 = fork-pool serving.
-WORKER_COUNTS = (0, 2)
 NUM_REQUESTS = int(os.environ.get("REPRO_BENCH_NET_REQUESTS", "600"))
 PROCESSES = int(os.environ.get("REPRO_BENCH_NET_PROCESSES", "2"))
 CONCURRENCY = int(os.environ.get("REPRO_BENCH_NET_CONCURRENCY", "4"))
@@ -53,54 +41,38 @@ def served_workload():
     return workload, estimator
 
 
-def test_net_throughput_vs_workers(served_workload, show):
+def test_net_throughput(served_workload, show):
     workload, estimator = served_workload
     queries = workload.queries
     direct = [estimator.bound(q) for q in queries]
 
-    rows = []
-    for num_workers in WORKER_COUNTS:
-        with EstimationServer(
-            estimator,
-            max_batch=16,
-            max_wait_ms=2.0,
-            max_queue=4096,
-            num_workers=num_workers,
-        ) as server:
-            with NetServer(server) as net:
-                report = generate_load_net(
-                    *net.address,
-                    queries,
-                    NUM_REQUESTS,
-                    processes=PROCESSES,
-                    concurrency=CONCURRENCY,
-                )
-        assert report["errors"] == {}
-        for i, result in enumerate(report["results"]):
-            assert result == direct[i % len(queries)]
-        rows.append({
-            "num_workers": num_workers,
-            "processes": PROCESSES,
-            "concurrency": CONCURRENCY,
-            "qps": round(report["qps"], 1),
-            "rejections": report["rejections"],
-        })
+    with EstimationServer(
+        estimator, max_batch=16, max_wait_ms=2.0, max_queue=4096
+    ) as server:
+        with NetServer(server) as net:
+            report = generate_load_net(
+                *net.address,
+                queries,
+                NUM_REQUESTS,
+                processes=PROCESSES,
+                concurrency=CONCURRENCY,
+            )
+    assert report["errors"] == {}
+    for i, result in enumerate(report["results"]):
+        assert result == direct[i % len(queries)]
+    rows = [{
+        "nproc": os.cpu_count(),
+        "processes": PROCESSES,
+        "concurrency": CONCURRENCY,
+        "qps": round(report["qps"], 1),
+        "rejections": report["rejections"],
+    }]
 
-    lines = [f"{'workers':>8} {'client procs':>13} {'conns':>6} {'q/s':>9}"]
-    for row in rows:
-        lines.append(
-            f"{row['num_workers']:>8} {row['processes']:>13} "
-            f"{row['concurrency'] * row['processes']:>6} {row['qps']:>9.1f}"
-        )
-    show("Network serving throughput vs worker processes\n" + "\n".join(lines))
-
-    # The socket tier must still serve a usable fraction of the
-    # in-process rate, and pool serving must not collapse behind it.
-    assert all(row["qps"] > 0 for row in rows)
-    single = next(r for r in rows if r["num_workers"] == 0)
-    for row in rows:
-        if row["num_workers"] > 1:
-            assert row["qps"] >= 0.25 * single["qps"]
+    show(
+        f"Network serving throughput: {rows[0]['qps']:.1f} q/s from "
+        f"{PROCESSES} client processes x {CONCURRENCY} connections"
+    )
+    assert rows[0]["qps"] > 0
 
     config = {
         "scale": float(os.environ.get("REPRO_BENCH_SCALE", "0.2")),
@@ -124,62 +96,3 @@ def test_net_throughput_vs_workers(served_workload, show):
             f"not refreshing {NET_SNAPSHOT_PATH.name}"
         )
 
-
-def test_net_publish_under_load(served_workload, tmp_path, show):
-    """Hot swap over the wire: a catalog republish lands while two client
-    processes are mid-load against a two-worker pool."""
-    workload, _ = served_workload
-    queries = workload.queries[:8]
-
-    catalog = StatsCatalog(tmp_path)
-    estimator = CatalogBackedSafeBound(
-        catalog, "bench", SafeBoundConfig(track_updates=True)
-    )
-    estimator.build(workload.db)
-
-    table = sorted(workload.db.tables)[0]
-    current = workload.db.table(table)
-    rng = np.random.default_rng(3)
-    sample = {
-        name: column[rng.integers(0, current.num_rows, 400)]
-        for name, column in current.columns.items()
-    }
-
-    server = EstimationServer(estimator, num_workers=2, max_batch=8, max_queue=4096)
-    with server, NetServer(server) as net:
-        ingest = UpdateIngest(workload.db, estimator)
-        report: dict = {}
-
-        def run_load() -> None:
-            report.update(generate_load_net(
-                *net.address, queries, NUM_REQUESTS,
-                processes=PROCESSES, concurrency=CONCURRENCY,
-            ))
-
-        loader = threading.Thread(target=run_load, daemon=True)
-        loader.start()
-        ingest.insert(table, sample)
-        version = ingest.republish()
-        post = generate_load_net(
-            *net.address, queries, 40, processes=2, concurrency=2
-        )
-        loader.join(300.0)
-
-    # v2 is the insert's pad snapshot (the pool server turns
-    # publish_pad_snapshots on at start); the republish is v3.
-    assert version.version == 3
-    assert report["errors"] == {} and report["completed"] == NUM_REQUESTS
-    assert post["errors"] == {} and post["completed"] == 40
-    assert server.metrics.failed == 0
-    v2 = CatalogBackedSafeBound(catalog, "bench")
-    v2.refresh()
-    expected = [v2.bound(q) for q in queries]
-    for i, result in enumerate(post["results"]):
-        assert result == expected[i % len(queries)]
-
-    obs = server.metrics.snapshot().get("observability") or {}
-    show(
-        "Publish under load (num_workers=2): "
-        f"{report['completed']}/{NUM_REQUESTS} + {post['completed']}/40 requests, "
-        f"0 failed, worker swaps {obs.get('server.worker_swaps', 0)}"
-    )

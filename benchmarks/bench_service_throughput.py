@@ -1,13 +1,10 @@
-"""Service throughput: queries/sec and tail latency vs micro-batch size
-and worker-process count.
+"""Service throughput: queries/sec and tail latency vs micro-batch size.
 
 Runs the estimation server over the STATS-CEB workload at several
 ``max_batch`` settings with a fixed concurrent load, recording throughput
 and p50/p99 request latency.  Batch size 1 degenerates to one-query-at-a-
 time serving — the headroom above it is what skeleton-grouped
-``estimate_batch`` buys at the serving layer.  A second axis scales
-``num_workers``: micro-batches dispatched to a fork pool whose workers
-inherit the parent's statistics, several batches in flight at once.
+``estimate_batch`` buys at the serving layer.
 
 The committed snapshot ``BENCH_service.json`` tracks the trajectory
 across PRs; like the planning snapshot it is only refreshed at the
@@ -29,9 +26,6 @@ from repro.workloads import make_stats_ceb
 SERVICE_SNAPSHOT_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_service.json"
 
 BATCH_SIZES = (1, 4, 16, 64)
-# The worker-process axis, measured at max_batch=16 (the single-process
-# sweet spot): 0 = in-thread serving, >1 = fork-pool serving.
-WORKER_COUNTS = (2, 4)
 NUM_REQUESTS = int(os.environ.get("REPRO_BENCH_SERVICE_REQUESTS", "600"))
 CONCURRENCY = int(os.environ.get("REPRO_BENCH_SERVICE_CONCURRENCY", "16"))
 
@@ -51,15 +45,9 @@ def test_service_throughput_vs_batch_size(served_workload, show):
     direct = [estimator.bound(q) for q in queries]
 
     rows = []
-    cells = [(batch, 0) for batch in BATCH_SIZES]
-    cells += [(16, workers) for workers in WORKER_COUNTS]
-    for max_batch, num_workers in cells:
+    for max_batch in BATCH_SIZES:
         with EstimationServer(
-            estimator,
-            max_batch=max_batch,
-            max_wait_ms=2.0,
-            max_queue=4096,
-            num_workers=num_workers,
+            estimator, max_batch=max_batch, max_wait_ms=2.0, max_queue=4096
         ) as server:
             report = generate_load(
                 server, queries, num_requests=NUM_REQUESTS, concurrency=CONCURRENCY
@@ -69,36 +57,26 @@ def test_service_throughput_vs_batch_size(served_workload, show):
         latency = report["metrics"]["request_latency"]
         rows.append({
             "max_batch": max_batch,
-            "num_workers": num_workers,
+            "nproc": os.cpu_count(),
             "qps": round(report["qps"], 1),
             "mean_batch_size": round(report["metrics"]["mean_batch_size"], 2),
             "p50_ms": round(latency["p50"] * 1000.0, 3),
             "p99_ms": round(latency["p99"] * 1000.0, 3),
         })
 
-    lines = [
-        f"{'batch':>6} {'workers':>8} {'q/s':>9} {'mean batch':>11} "
-        f"{'p50 ms':>8} {'p99 ms':>8}"
-    ]
+    lines = [f"{'batch':>6} {'q/s':>9} {'mean batch':>11} {'p50 ms':>8} {'p99 ms':>8}"]
     for row in rows:
         lines.append(
-            f"{row['max_batch']:>6} {row['num_workers']:>8} {row['qps']:>9.1f} "
+            f"{row['max_batch']:>6} {row['qps']:>9.1f} "
             f"{row['mean_batch_size']:>11.2f} "
             f"{row['p50_ms']:>8.3f} {row['p99_ms']:>8.3f}"
         )
-    show("Service throughput vs batch size / worker processes\n" + "\n".join(lines))
+    show("Service throughput vs batch size\n" + "\n".join(lines))
 
     # Micro-batching must beat one-at-a-time serving under concurrency.
     unbatched = next(r for r in rows if r["max_batch"] == 1)
     batched = max(rows, key=lambda r: r["qps"])
     assert batched["qps"] >= unbatched["qps"]
-    # Multi-process serving must not lose to its single-process twin by
-    # more than dispatch noise (fork pools pay per-batch IPC; the win
-    # shows on multi-core runners, the floor guards against pathologies).
-    single = next(r for r in rows if r["max_batch"] == 16 and r["num_workers"] == 0)
-    for row in rows:
-        if row["num_workers"] > 1:
-            assert row["qps"] >= 0.25 * single["qps"]
 
     config = {
         "scale": float(os.environ.get("REPRO_BENCH_SCALE", "0.2")),

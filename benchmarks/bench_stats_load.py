@@ -1,7 +1,4 @@
-"""Stats load latency + multi-process serving memory: v1 vs arena.
-
-The arena format's two claims (ISSUE 5 / ROADMAP "fast as the hardware
-allows") are measured here:
+"""Stats load latency and loaded footprint: v1 vs arena.
 
 * **load latency** — ``load_stats`` of the same statistics store saved as
   a v1 ``.npz`` archive (decompress + rebuild the object graph) and as a
@@ -9,12 +6,8 @@ allows") are measured here:
   Target >= 10x at the default configuration; a 3x floor is asserted at
   every scale (CI smoke included) so a load-path regression cannot slip
   through a scaled-down run.
-* **per-worker incremental RSS** — an ``EstimationServer`` with a fork
-  pool serving the stats-CEB load test: each worker's *private* resident
-  memory growth (USS delta from right-after-fork to after the load test,
-  via ``/proc/<pid>/smaps_rollup``) compared against the v1 store's
-  loaded heap footprint.  Arena workers inherit the mmap, so their
-  incremental RSS must stay <= 10% of the v1 footprint.
+* **loaded footprint** — the private-heap growth of loading the v1
+  store in a fresh process (recorded, no floor).
 
 The committed snapshot ``BENCH_load.json`` tracks both across PRs; it is
 only refreshed at the default configuration.  Scaled-down runs (CI smoke)
@@ -34,19 +27,16 @@ import pytest
 
 from repro.core.safebound import SafeBound
 from repro.core.serialization import load_stats, save_stats
-from repro.service.server import EstimationServer, generate_load
 from repro.workloads import make_stats_ceb, make_tpch
 
 LOAD_SNAPSHOT_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_load.json"
 
 SCALE = float(os.environ.get("REPRO_BENCH_LOAD_SCALE", "0.2"))
 REPEATS = int(os.environ.get("REPRO_BENCH_LOAD_REPEATS", "7"))
-NUM_WORKERS = int(os.environ.get("REPRO_BENCH_LOAD_WORKERS", "4"))
 AT_DEFAULTS = SCALE == 0.2
 # The load-speedup floor is a ratio, robust to machine speed, so it is
 # asserted at EVERY scale — including the scaled-down CI smoke (measured
-# >100x even at scale 0.02; 3x leaves generous headroom).  The per-worker
-# RSS ceiling is absolute-noise-sensitive and only asserted at defaults.
+# >100x even at scale 0.02; 3x leaves generous headroom).
 MIN_SPEEDUP = 3.0
 
 
@@ -118,51 +108,7 @@ def loaded_footprint_kb(path: str) -> int | None:
     return result
 
 
-def _worker_incremental_kb(path: str, workload, requests: int = 240) -> dict | None:
-    """Per-worker USS growth while serving the load test from ``path``.
-
-    The parent loads *and warms* the estimator before the pool forks —
-    the production shape: workers inherit the materialized statistics
-    (for the arena, thin wrappers over shared mmap pages) and the warm
-    caches.  Every worker process then pays a fixed, *store-independent*
-    scratch cost on its first batches (allocator arenas, kernel buffers —
-    measured ~5 MiB here for v1 and arena alike, plateauing within two
-    load rounds), so the store-attributable incremental is USS growth
-    from the post-warmup steady state through the load test; the raw
-    fork-to-end growth is recorded alongside.
-    """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None  # no fork pool on this platform; skip RSS only
-    estimator = SafeBound.load(path)
-    estimator.estimate_batch(workload.queries)
-    with EstimationServer(
-        estimator, num_workers=NUM_WORKERS, max_batch=16, max_queue=4096
-    ) as server:
-        pids = server.worker_pids()
-        at_fork = {pid: _private_kb(pid) for pid in pids}
-        if not pids or any(v is None for v in at_fork.values()):
-            return None  # no fork pool (workers <= 1) or no smaps_rollup
-        warm = generate_load(
-            server, workload.queries, num_requests=2 * requests, concurrency=8
-        )
-        baseline = {pid: _private_kb(pid) for pid in pids}
-        report = generate_load(
-            server, workload.queries, num_requests=requests, concurrency=8
-        )
-        after = {pid: _private_kb(pid) for pid in pids}
-    assert warm["errors"] == {} and report["errors"] == {}
-    deltas = [after[pid] - baseline[pid] for pid in pids if after[pid] is not None]
-    total = [after[pid] - at_fork[pid] for pid in pids if after[pid] is not None]
-    return {
-        "num_workers": NUM_WORKERS,
-        "per_worker_kb": [int(d) for d in deltas],
-        "max_kb": int(max(deltas)),
-        "mean_kb": int(np.mean(deltas)),
-        "fork_to_end_kb": [int(d) for d in total],
-    }
-
-
-def test_stats_load_and_worker_rss(saved_stores, show):
+def test_stats_load(saved_stores, show):
     rows = []
     for name, (workload, built, v1_path, arena_path) in saved_stores.items():
         # Bit-identity across formats comes first: same bounds, always.
@@ -186,11 +132,6 @@ def test_stats_load_and_worker_rss(saved_stores, show):
         footprint = loaded_footprint_kb(v1_path)
         if footprint is not None:
             row["v1_loaded_footprint_kb"] = int(footprint)
-        if name == "stats_ceb":
-            for fmt, path in (("v1", v1_path), ("arena", arena_path)):
-                rss = _worker_incremental_kb(path, workload)
-                if rss is not None:
-                    row[f"worker_incremental_{fmt}"] = rss
         rows.append(row)
 
     lines = [f"{'workload':>10} {'v1 ms':>9} {'arena ms':>9} {'speedup':>8}"]
@@ -207,25 +148,10 @@ def test_stats_load_and_worker_rss(saved_stores, show):
             f"faster than v1 (floor {MIN_SPEEDUP}x)"
         )
     if AT_DEFAULTS:
-        for row in rows:
-            rss = row.get("worker_incremental_arena")
-            footprint = row.get("v1_loaded_footprint_kb")
-            if rss is not None and footprint:
-                assert rss["max_kb"] <= 0.10 * footprint, (
-                    f"{row['workload']}: arena worker incremental RSS "
-                    f"{rss['max_kb']} KiB exceeds 10% of the v1 loaded "
-                    f"footprint ({footprint} KiB)"
-                )
-
-    if AT_DEFAULTS:
         payload = {
             "bench": "stats_load",
             "unit": "ms / KiB",
-            "config": {
-                "scale": SCALE,
-                "repeats": REPEATS,
-                "num_workers": NUM_WORKERS,
-            },
+            "config": {"scale": SCALE, "repeats": REPEATS},
             "rows": rows,
         }
         LOAD_SNAPSHOT_PATH.write_text(

@@ -87,7 +87,7 @@ def main() -> None:
         # The default arena format is a zero-copy mmap: cold starts map it
         # in O(manifest) time, and every process serving this version
         # shares the same read-only pages (see `python -m repro.service
-        # stats-info` and EstimationServer(num_workers=...)).
+        # stats-info`).
 
         # 2. Serve concurrent clients through micro-batches.
         server = EstimationServer(estimator, max_batch=32, max_wait_ms=2.0, refresh_db=db)

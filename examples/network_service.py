@@ -4,13 +4,13 @@ Extends the ``bound_service.py`` lifecycle across a process boundary:
 
 1. build + publish SafeBound statistics to a versioned catalog;
 2. put the socket front end (:class:`NetServer`, length-prefixed JSON
-   frames) over a two-worker fork-pool estimation server;
+   frames) over the micro-batching estimation server;
 3. drive it from two separate *client processes* with
    :func:`generate_load_net` — every request crosses the wire codec,
-   TCP, admission control, and pool dispatch;
-4. republish mid-traffic: the catalog's generation stamp propagates the
-   new version to every worker process, and requests submitted after the
-   publish are served from it — zero failed requests throughout.
+   TCP, admission control, and micro-batching;
+4. republish mid-traffic: the server hot-swaps to the new version, and
+   requests submitted after the publish are served from it — zero
+   failed requests throughout.
 
 Run with:  PYTHONPATH=src python examples/network_service.py
 """
@@ -84,12 +84,11 @@ def main() -> None:
         print(f"published {v1.label}: {v1.file_bytes / 1024:.1f} KiB, "
               f"generation {catalog.generation('events_db')}")
 
-        # 2. Socket front end over a two-worker fork pool.
-        server = EstimationServer(estimator, num_workers=2, max_batch=16, max_queue=4096)
+        # 2. Socket front end over the estimation server.
+        server = EstimationServer(estimator, max_batch=16, max_queue=4096)
         with server, NetServer(server) as net:
             host, port = net.address
-            print(f"serving on {host}:{port} "
-                  f"(worker pids {server.worker_pids()})")
+            print(f"serving on {host}:{port}")
 
             # 3. Load from two separate client processes.
             report = generate_load_net(
@@ -104,8 +103,8 @@ def main() -> None:
             print(f"served {report['completed']} requests from "
                   f"{report['processes']} client processes at {report['qps']:.0f} q/s")
 
-            # 4. Republish mid-traffic; the generation stamp reaches every
-            #    worker, so post-publish requests serve the new version.
+            # 4. Republish mid-traffic; republish swaps the served version
+            #    before it returns, so post-publish requests serve it.
             ingest = UpdateIngest(db, estimator)
             rng = np.random.default_rng(42)
             n = 3000
@@ -128,10 +127,8 @@ def main() -> None:
 
             with NetClient(host, port) as probe:
                 health = probe.health()
-                obs = probe.metrics().get("observability") or {}
             print(f"republished {version.label}; health reports version "
                   f"{health['version']} generation {health['generation']}, "
-                  f"worker swaps {obs.get('server.worker_swaps', 0)}, "
                   f"0 failed requests")
 
     print("\ncatalog -> socket -> client processes -> republish cycle complete.")

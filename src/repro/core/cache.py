@@ -1,30 +1,21 @@
-"""Bounded caches shared by the online estimation path.
+"""The bounded LRU cache behind the online estimation path.
 
 The optimizer's DP asks SafeBound for every connected subquery, and the
 same (table, predicate) conditioning work and the same query *shapes*
-recur across subqueries and across workload queries.  Both caches must be
-bounded for a long-running service; a plain dict with an insert cap stops
-adapting once full, so eviction is least-recently-used.
-
-:class:`SharedConditionedCache` extends the reuse across *processes*: a
-fixed-size anonymous shared-memory segment holding content-digest-keyed
-blobs (packed conditioned CDSs), inherited by fork-pool serving workers
-so they amortise conditioning work instead of each paying it privately.
+recur across subqueries and across workload queries.  SafeBound keeps
+one :class:`LRUCache` for each: conditioned relations and compiled
+skeletons.  Both live in the serving process, shared by its threads.
+They must be bounded for a long-running service; a plain dict with an
+insert cap stops adapting once full, so eviction is least-recently-used.
 """
 
 from __future__ import annotations
 
-import mmap
-import multiprocessing
-import os
-import struct
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
-import numpy as np
-
-__all__ = ["LRUCache", "SharedConditionedCache"]
+__all__ = ["LRUCache"]
 
 
 class LRUCache:
@@ -36,7 +27,7 @@ class LRUCache:
     ``clear``, and hit/miss counters for observability.
 
     Thread-safe: the estimation server shares one ``SafeBound`` (and hence
-    its conditioning and skeleton caches) across worker threads, and the
+    its conditioning and skeleton caches) across threads, and the
     ingest path clears the conditioning cache concurrently with lookups.
     ``move_to_end`` on a key evicted by a concurrent ``__setitem__`` would
     raise ``KeyError``, so every recency-mutating operation takes the lock.
@@ -143,216 +134,4 @@ class LRUCache:
         return (
             f"LRUCache(maxsize={self.maxsize}, size={len(self._data)}, "
             f"hits={self.hits}, misses={self.misses})"
-        )
-
-
-# ----------------------------------------------------------------------
-# Cross-process shared blob cache
-# ----------------------------------------------------------------------
-# Layout of the anonymous shared mmap:
-#   [magic 8s][counters 9 x u64][slot table][data region]
-# Counters (all cumulative except generation/used/entries):
-_GEN, _HITS, _MISSES, _SIBLING, _INSERTS, _FLUSHES, _STORED, _USED, _ENTRIES = range(9)
-_SHARED_MAGIC = b"SBCCACHE"
-_COUNTER_COUNT = 9
-_SLOT = struct.Struct("<16sQQI")  # digest, data offset, blob length, writer pid
-
-
-class SharedConditionedCache:
-    """A fixed-size shared-memory cache of content-digest-keyed blobs.
-
-    Built for the conditioned-CDS serving path: the parent process
-    creates it *before* forking the serving pool, so every worker maps
-    the same anonymous segment and a `(stats epoch, table, predicate)`
-    digest conditioned by one worker is a zero-recompute hit for its
-    siblings.  Payloads are opaque bytes (``pack_conditioned`` blobs).
-
-    Design choices, sized for that workload:
-
-    * **Open-addressing digest index + bump allocator.**  Entries are
-      immutable and content-addressed, so there is no update path; a
-      blob is written once at the allocation frontier and never moves.
-    * **Flush-all eviction.**  When the data region or slot table fills,
-      the whole cache is flushed (one counter bump + zeroed index).
-      Conditioning entries are cheap to recompute and heavily re-hit, so
-      generational flush beats per-entry LRU bookkeeping in shared
-      memory by a wide margin.
-    * **Generation tag.**  ``bump_generation`` flushes and increments a
-      shared epoch; callers fold the epoch they expect into the digest,
-      so stale entries from before a statistics refresh can never be
-      returned even across processes that have not observed the refresh.
-    * **Bounded lock waits.**  A cross-process mutex guards every
-      operation; if it cannot be acquired within ``lock_timeout``
-      seconds (a crashed holder, say), the operation degrades to a miss
-      / no-op instead of hanging the serving path.
-
-    The cache is inherited over ``fork`` only (same as the serving
-    pool): it deliberately has no pickle support.
-    """
-
-    def __init__(
-        self,
-        capacity_bytes: int,
-        slots: int = 4096,
-        lock_timeout: float = 2.0,
-    ) -> None:
-        if slots <= 0:
-            raise ValueError("slots must be positive")
-        slots = 1 << (slots - 1).bit_length()  # round up to a power of two
-        header_bytes = len(_SHARED_MAGIC) + 8 * _COUNTER_COUNT
-        index_bytes = header_bytes + slots * _SLOT.size
-        if capacity_bytes <= index_bytes:
-            raise ValueError(
-                f"capacity_bytes={capacity_bytes} leaves no data room past "
-                f"the {index_bytes}-byte index (try fewer slots)"
-            )
-        self.slots = slots
-        self.capacity_bytes = capacity_bytes
-        self.lock_timeout = lock_timeout
-        self._slots_base = header_bytes
-        self._data_base = index_bytes
-        self._data_cap = capacity_bytes - index_bytes
-        self._mm = mmap.mmap(-1, capacity_bytes)  # anonymous, fork-shared
-        self._mm[: len(_SHARED_MAGIC)] = _SHARED_MAGIC
-        self._counters = np.frombuffer(
-            memoryview(self._mm),
-            dtype=np.uint64,
-            count=_COUNTER_COUNT,
-            offset=len(_SHARED_MAGIC),
-        )
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            ctx = multiprocessing.get_context()
-        self._lock = ctx.Lock()
-
-    # -- index internals (caller holds the lock) -----------------------
-    def _slot_offset(self, i: int) -> int:
-        return self._slots_base + i * _SLOT.size
-
-    def _probe(self, digest: bytes):
-        """Linear-probe for ``digest``: returns ``(slot index or None,
-        (offset, length, pid) or None)`` — the first empty slot when the
-        digest is absent, ``(None, None)`` when the table is full."""
-        mask = self.slots - 1
-        i = int.from_bytes(digest[:8], "little") & mask
-        for _ in range(self.slots):
-            d, offset, length, pid = _SLOT.unpack_from(self._mm, self._slot_offset(i))
-            if length == 0:
-                return i, None
-            if d == digest:
-                return i, (offset, length, pid)
-            i = (i + 1) & mask
-        return None, None
-
-    def _flush_locked(self) -> None:
-        zero = bytes(self.slots * _SLOT.size)
-        self._mm[self._slots_base : self._data_base] = zero
-        self._counters[_USED] = 0
-        self._counters[_ENTRIES] = 0
-        self._counters[_FLUSHES] += 1
-
-    # -- public API ----------------------------------------------------
-    def get(self, digest: bytes) -> bytes | None:
-        """The blob stored under ``digest``, or None.  A hit by a process
-        other than the writer also counts as a ``sibling_hit`` — the
-        cross-worker reuse the cache exists for."""
-        if not self._lock.acquire(timeout=self.lock_timeout):
-            return None
-        try:
-            _, entry = self._probe(digest)
-            if entry is None:
-                self._counters[_MISSES] += 1
-                return None
-            offset, length, pid = entry
-            self._counters[_HITS] += 1
-            if pid != os.getpid():
-                self._counters[_SIBLING] += 1
-            return bytes(self._mm[offset : offset + length])
-        finally:
-            self._lock.release()
-
-    def put(self, digest: bytes, blob: bytes) -> bool:
-        """Store ``blob`` under ``digest``; False if it can never fit or
-        the lock is contended.  Losing an insert race is success (the
-        sibling's bytes are identical by content addressing)."""
-        length = len(blob)
-        if length > self._data_cap:
-            return False
-        if not self._lock.acquire(timeout=self.lock_timeout):
-            return False
-        try:
-            slot, entry = self._probe(digest)
-            if entry is not None:
-                return True
-            used = int(self._counters[_USED])
-            # Keep the open-addressing table under 3/4 occupancy.
-            full = (
-                slot is None
-                or used + length > self._data_cap
-                or int(self._counters[_ENTRIES]) >= (self.slots * 3) // 4
-            )
-            if full:
-                self._flush_locked()
-                used = 0
-                slot, _ = self._probe(digest)
-            offset = self._data_base + used
-            self._mm[offset : offset + length] = blob
-            _SLOT.pack_into(
-                self._mm, self._slot_offset(slot), digest, offset, length, os.getpid()
-            )
-            self._counters[_USED] = used + length
-            self._counters[_ENTRIES] += 1
-            self._counters[_INSERTS] += 1
-            self._counters[_STORED] += length
-            return True
-        finally:
-            self._lock.release()
-
-    def flush(self) -> None:
-        """Drop every entry (counters other than occupancy survive)."""
-        if self._lock.acquire(timeout=self.lock_timeout):
-            try:
-                self._flush_locked()
-            finally:
-                self._lock.release()
-
-    def bump_generation(self) -> int:
-        """Flush and advance the shared generation (statistics refresh /
-        update invalidation); returns the new generation."""
-        if self._lock.acquire(timeout=self.lock_timeout):
-            try:
-                self._flush_locked()
-                self._counters[_GEN] += 1
-            finally:
-                self._lock.release()
-        return int(self._counters[_GEN])
-
-    @property
-    def generation(self) -> int:
-        return int(self._counters[_GEN])
-
-    def stats(self) -> dict:
-        """Shared counters (lock-free read: values may be a tick stale)."""
-        c = self._counters
-        return {
-            "generation": int(c[_GEN]),
-            "hits": int(c[_HITS]),
-            "misses": int(c[_MISSES]),
-            "sibling_hits": int(c[_SIBLING]),
-            "insertions": int(c[_INSERTS]),
-            "flushes": int(c[_FLUSHES]),
-            "stored_bytes": int(c[_STORED]),
-            "data_bytes_used": int(c[_USED]),
-            "entries": int(c[_ENTRIES]),
-            "capacity_bytes": self.capacity_bytes,
-            "slots": self.slots,
-        }
-
-    def __repr__(self) -> str:
-        s = self.stats()
-        return (
-            f"SharedConditionedCache(capacity={self.capacity_bytes}, "
-            f"entries={s['entries']}, hits={s['hits']}, "
-            f"sibling_hits={s['sibling_hits']}, generation={s['generation']})"
         )

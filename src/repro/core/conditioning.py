@@ -20,7 +20,6 @@ Bloom filters (Sec 4.3) replace the MCV dictionaries.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +61,6 @@ __all__ = [
     "condition_cds_batch",
     "condition_relations_batch",
     "fill_truncations_batch",
-    "pack_conditioned",
-    "unpack_conditioned",
 ]
 
 _PL_BYTES_PER_BREAKPOINT = 16  # two float64 per breakpoint
@@ -909,68 +906,6 @@ def fill_truncations_batch(
         for k, (conditioned_rel, column) in enumerate(targets):
             xs, ys = out.segment_arrays(k)
             conditioned_rel._bound_cds[column] = pl_view(xs.copy(), ys.copy())
-
-
-# ----------------------------------------------------------------------
-# Conditioned-CDS wire format (shared cross-process cache payloads)
-# ----------------------------------------------------------------------
-_PACK_MAGIC = b"SBCC1\x00"
-_PACK_HEAD = struct.Struct("<dI")
-_PACK_ITEM = struct.Struct("<II")
-
-
-def pack_conditioned(conditioned_rel: ConditionedRelation) -> bytes:
-    """Serialise a ConditionedRelation into a flat blob for the shared
-    conditioned-CDS cache: the single-table bound plus every conditioned
-    join-column CDS as raw float64 breakpoints.  Truncations
-    (``_bound_cds``) are deliberately not stored — they are cheap batched
-    cuts of what is stored here and the reader recomputes them."""
-    parts = [
-        _PACK_MAGIC,
-        _PACK_HEAD.pack(
-            conditioned_rel.single_table, len(conditioned_rel._conditioned)
-        ),
-    ]
-    for jcol, cds in conditioned_rel._conditioned.items():
-        name = jcol.encode("utf-8")
-        xs = np.ascontiguousarray(cds.xs, dtype=np.float64)
-        ys = np.ascontiguousarray(cds.ys, dtype=np.float64)
-        parts.append(_PACK_ITEM.pack(len(name), len(xs)))
-        parts.append(name)
-        parts.append(xs.tobytes())
-        parts.append(ys.tobytes())
-    return b"".join(parts)
-
-
-def unpack_conditioned(rel, blob: bytes) -> ConditionedRelation:
-    """Rebuild a ConditionedRelation from :func:`pack_conditioned` output.
-
-    The stored floats are byte-exact, so the result equals the writer's
-    relation bit for bit; CDS arrays are zero-copy (read-only) views of
-    the blob, same as arena-resident statistics.
-    """
-    if blob[: len(_PACK_MAGIC)] != _PACK_MAGIC:
-        raise ValueError("corrupt conditioned-CDS blob")
-    off = len(_PACK_MAGIC)
-    single_table, count = _PACK_HEAD.unpack_from(blob, off)
-    off += _PACK_HEAD.size
-    conditioned: dict[str, PiecewiseLinear] = {}
-    for _ in range(count):
-        nlen, npts = _PACK_ITEM.unpack_from(blob, off)
-        off += _PACK_ITEM.size
-        name = blob[off : off + nlen].decode("utf-8")
-        off += nlen
-        xs = np.frombuffer(blob, dtype=np.float64, count=npts, offset=off)
-        off += 8 * npts
-        ys = np.frombuffer(blob, dtype=np.float64, count=npts, offset=off)
-        off += 8 * npts
-        conditioned[name] = pl_view(xs, ys)
-    out = ConditionedRelation.__new__(ConditionedRelation)
-    out._rel = rel
-    out.single_table = single_table
-    out._conditioned = conditioned
-    out._bound_cds = {}
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ query and returns a guaranteed upper bound on its output cardinality.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from ..db.database import Database
@@ -15,14 +14,12 @@ from ..db.query import Query
 from ..obs.metrics import inc as _metric_inc
 from ..obs.tracing import span as _span
 from .bound import CompiledSkeleton, FdsbEngine
-from .cache import LRUCache, SharedConditionedCache
+from .cache import LRUCache
 from .conditioning import (
     ConditionedRelation,
     ConditioningConfig,
     condition_relations_batch,
     fill_truncations_batch,
-    pack_conditioned,
-    unpack_conditioned,
 )
 from .piecewise import PiecewiseLinear
 from .predicates import And, Eq, InList, Like, Or, Predicate, Range
@@ -48,17 +45,6 @@ class SafeBoundConfig:
     # Online-phase cache capacities (LRU-evicted).
     conditioning_cache_entries: int = 50_000
     skeleton_cache_entries: int = 4096
-    # Cross-process conditioned-CDS cache (core/cache.py
-    # SharedConditionedCache).  > 0 allocates a fixed-size anonymous
-    # shared-memory segment of that many bytes at construction time — i.e.
-    # *before* a serving pool forks — so every fork worker maps the same
-    # cache and conditioning work done by one worker is a hit for its
-    # siblings.  0 (the default) disables it; bounds are bit-identical
-    # either way.  ``slots`` bounds the entry count (rounded up to a power
-    # of two); when either the slot table or the data region fills, the
-    # whole segment is flushed (entries are cheap to recompute).
-    shared_conditioning_cache_bytes: int = 0
-    shared_conditioning_cache_slots: int = 4096
     # Attach per-join-column frequency counters at build time so
     # apply_insert/apply_delete can maintain the statistics between
     # recompress-and-republish cycles (see core/updates.py).
@@ -142,14 +128,6 @@ class SafeBound:
         # that race would permanently serve unpadded bounds.
         self._conditioning_cache = LRUCache(self.config.conditioning_cache_entries)
         self._stats_epoch = 0
-        # Optional cross-process tier under the LRU: digest-keyed packed
-        # ConditionedRelations in fork-shared memory (see SafeBoundConfig).
-        self._shared_conditioning: SharedConditionedCache | None = None
-        if self.config.shared_conditioning_cache_bytes > 0:
-            self._shared_conditioning = SharedConditionedCache(
-                self.config.shared_conditioning_cache_bytes,
-                slots=self.config.shared_conditioning_cache_slots,
-            )
 
     # ------------------------------------------------------------------
     # Offline phase
@@ -249,14 +227,9 @@ class SafeBound:
     def _invalidate_conditioning(self) -> None:
         # Advance the epoch before clearing: in-flight conditioning work
         # keyed to the old epoch can still be written afterwards but will
-        # never be read, and eventually falls out of the LRU.  The shared
-        # tier folds the epoch into its digests, so bumping its generation
-        # (a flush) is belt-and-braces — stale blobs could not be read
-        # back even if they survived.
+        # never be read, and eventually falls out of the LRU.
         self._stats_epoch += 1
         self._conditioning_cache.clear()
-        if self._shared_conditioning is not None:
-            self._shared_conditioning.bump_generation()
 
     def staleness(self) -> float:
         """Worst relative padding overhead across relations (0 when fresh)."""
@@ -277,7 +250,7 @@ class SafeBound:
         Queries sharing a skeleton (the optimizer DP's repeated subquery
         shapes, or one template's predicate instantiations) are bounded
         against one compiled skeleton, and their conditioning/truncation
-        work flows through the shared caches.  The whole batch — across
+        work flows through the estimator's caches.  The whole batch — across
         skeletons — is then handed to the engine at once, which the array
         kernel turns into shared vectorized kernel calls.
         """
@@ -304,13 +277,12 @@ class SafeBound:
 
     def _prepare_conditioning(self, prepared) -> None:
         """Array-kernel warm-up: batch-condition every (table, effective
-        predicate) pair the batch needs that no cache tier holds, then
-        batch-truncate the requested join columns.
+        predicate) pair the batch needs that the conditioning cache does
+        not hold, then batch-truncate the requested join columns.
 
         One CSE'd kernel schedule conditions the whole batch instead of
-        per-alias Python loops, and results land in the per-process LRU
-        (and the shared cross-process tier when configured) before
-        ``_query_inputs`` reads them back.  Purely a latency move: the
+        per-alias Python loops, and results land in the conditioning LRU
+        before ``_query_inputs`` reads them back.  Purely a latency move: the
         kernels are bit-identical twins of the object ops, so skipping
         this method — the object kernel does — changes no bound.
         """
@@ -324,34 +296,18 @@ class SafeBound:
                     cache_key = (self._stats_epoch, tname, repr(predicate))
                     if cache_key not in missing and cache_key not in self._conditioning_cache:
                         missing[cache_key] = (tname, predicate)
-            shared = self._shared_conditioning
             # Each missing key is a logical conditioning-cache miss that the
             # prefetch is about to fill; count it so the counters read the
             # same as the object path's lookup-then-insert sequence.
             self._conditioning_cache.misses += len(missing)
             _metric_inc("conditioning.lru_miss", len(missing))
-            to_compute: list[tuple[tuple, str, Predicate | None]] = []
-            for cache_key, (tname, predicate) in missing.items():
-                if shared is not None:
-                    blob = shared.get(_conditioning_digest(cache_key))
-                    if blob is not None:
-                        _metric_inc("conditioning.shared_hit")
-                        self._conditioning_cache[cache_key] = unpack_conditioned(
-                            self.stats.relations[tname], blob
-                        )
-                        continue
-                to_compute.append((cache_key, tname, predicate))
-            if len(to_compute) >= max(self._engine.array_min_condition, 1):
-                _metric_inc("conditioning.computed", len(to_compute))
-                pairs = [(self.stats.relations[t], p) for _, t, p in to_compute]
-                for (cache_key, _, _), conditioned in zip(
-                    to_compute, condition_relations_batch(pairs)
+            if len(missing) >= max(self._engine.array_min_condition, 1):
+                _metric_inc("conditioning.computed", len(missing))
+                pairs = [(self.stats.relations[t], p) for t, p in missing.values()]
+                for cache_key, conditioned in zip(
+                    missing, condition_relations_batch(pairs)
                 ):
                     self._conditioning_cache[cache_key] = conditioned
-                    if shared is not None:
-                        shared.put(
-                            _conditioning_digest(cache_key), pack_conditioned(conditioned)
-                        )
             # Anything still missing (a batch below the dispatch floor) falls
             # through to the object path inside _conditioned_relation.
             requests: list[tuple[ConditionedRelation, str]] = []
@@ -367,7 +323,7 @@ class SafeBound:
                         if rid not in seen and col not in conditioned._bound_cds:
                             seen.add(rid)
                             requests.append((conditioned, col))
-            sp.set(missing=len(missing), computed=len(to_compute), truncations=len(requests))
+            sp.set(missing=len(missing), truncations=len(requests))
             if requests:
                 fill_truncations_batch(requests)
 
@@ -394,36 +350,20 @@ class SafeBound:
         _metric_inc("conditioning.lookups")
 
         def compute() -> ConditionedRelation:
-            shared = self._shared_conditioning
-            if shared is not None:
-                digest = _conditioning_digest(cache_key)
-                blob = shared.get(digest)
-                if blob is not None:
-                    _metric_inc("conditioning.shared_hit")
-                    return unpack_conditioned(self.stats.relations[tname], blob)
             _metric_inc("conditioning.computed")
-            conditioned = ConditionedRelation(self.stats.relations[tname], predicate)
-            if shared is not None:
-                shared.put(digest, pack_conditioned(conditioned))
-            return conditioned
+            return ConditionedRelation(self.stats.relations[tname], predicate)
 
         return self._conditioning_cache.get_or_compute(cache_key, compute)
 
     def conditioning_cache_stats(self) -> dict:
-        """Hit/miss/byte counters of both conditioning-cache tiers (the
-        shared tier's counters aggregate across every fork worker)."""
+        """Hit/miss counters of the conditioning cache."""
         cache = self._conditioning_cache
-        out: dict = {
-            "local": {
-                "entries": len(cache),
-                "capacity": cache.maxsize,
-                "hits": cache.hits,
-                "misses": cache.misses,
-            }
+        return {
+            "entries": len(cache),
+            "capacity": cache.maxsize,
+            "hits": cache.hits,
+            "misses": cache.misses,
         }
-        if self._shared_conditioning is not None:
-            out["shared"] = self._shared_conditioning.stats()
-        return out
 
     # Aliases so SafeBound satisfies the CardinalityEstimator protocol.
     def estimate(self, query: Query) -> float:
@@ -476,11 +416,3 @@ class SafeBound:
 def _conjoin(predicates: list[Predicate]) -> Predicate:
     return predicates[0] if len(predicates) == 1 else And(predicates)
 
-
-def _conditioning_digest(cache_key: tuple) -> bytes:
-    """16-byte content digest of an (epoch, table, repr(predicate)) cache
-    key — the shared tier's index key.  Folding the epoch in makes blobs
-    from before a statistics mutation unreachable by construction."""
-    epoch, tname, pred_repr = cache_key
-    payload = f"{epoch}\x1f{tname}\x1f{pred_repr}".encode()
-    return hashlib.blake2b(payload, digest_size=16).digest()

@@ -4,14 +4,12 @@ Two always-importable primitives with near-zero cost when disabled:
 
 * :mod:`repro.obs.tracing` — a :class:`Tracer` of nested spans with
   thread-local context, instrumenting the full online path (skeleton
-  compile, conditioning and its cache tiers, segmented kernel execution,
+  compile, conditioning and its cache, segmented kernel execution,
   optimizer DP levels, server batch lifecycle).  When no tracer is
   installed, every instrumentation point is a module-global ``None``
   check returning a shared no-op span.
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
-  gauges and histograms with an optional fork-shared shared-memory
-  backend, so a fork-pool serving worker's counters aggregate into one
-  parent-side snapshot instead of dying with the child process.
+  gauges and histograms, snapshotted as one JSON-friendly dict.
 
 ``repro.obs.explain`` (the ``explain_bound`` per-query breakdown) and
 ``repro.obs.cli`` (the ``python -m repro.service explain``/``trace``

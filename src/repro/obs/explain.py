@@ -7,8 +7,7 @@ registry and reports
   the span tree, whose sum reproduces the traced end-to-end latency by
   construction (exclusive times partition the root spans);
 * the **cache hit path** — how the (table, predicate) conditioning work
-  was served: per-process LRU hit, shared cross-process cache hit, or
-  computed from scratch;
+  was served: conditioning-LRU hit or computed from scratch;
 * the **array-program op counts** — piecewise kernel invocations by op
   kind, for both conditioning and the bound recursion;
 * the **per-plan bound contributions** — the bound of every spanning-tree
@@ -58,12 +57,10 @@ def _build_report(estimator, query, bound, elapsed, tracer, registry) -> dict:
 
     lookups = int(snapshot.get("conditioning.lookups", 0))
     lru_misses = int(snapshot.get("conditioning.lru_miss", 0))
-    shared_hits = int(snapshot.get("conditioning.shared_hit", 0))
     computed = int(snapshot.get("conditioning.computed", 0))
     cache_path = {
         "lookups": lookups,
         "lru_hits": max(lookups - lru_misses, 0),
-        "shared_hits": shared_hits,
         "computed": computed,
     }
 
@@ -142,7 +139,7 @@ def format_explain(report: dict) -> str:
     lines += [
         "",
         "conditioning cache path: "
-        f"{cache['lru_hits']} LRU hit(s), {cache['shared_hits']} shared hit(s), "
+        f"{cache['lru_hits']} LRU hit(s), "
         f"{cache['computed']} computed of {cache['lookups']} lookup(s)",
     ]
     dispatch = report["dispatch"]

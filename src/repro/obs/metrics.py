@@ -1,4 +1,4 @@
-"""Counters, gauges and histograms with an optional fork-shared backend.
+"""Counters, gauges and histograms in one process-local registry.
 
 A :class:`MetricsRegistry` holds named metrics of three kinds:
 
@@ -7,17 +7,8 @@ A :class:`MetricsRegistry` holds named metrics of three kinds:
 * **histogram** — log-spaced bucket counts plus count/sum/max
   (``observe``), rendered as approximate p50/p95/p99 at snapshot time.
 
-Updates always land in a process-local store (a small numpy vector per
-metric, mutated under a thread lock — cheap enough for per-batch
-instrumentation).  A registry created with ``shared=True`` additionally
-maps a fixed-size anonymous shared-memory segment *at construction
-time* — i.e. before a serving pool forks — generalising the
-``SharedConditionedCache`` counter idiom: the segment holds an
-open-addressing name-digest index (each slot stores the metric's name,
-kind and value vector) guarded by a cross-process lock.  ``flush()``
-merges the local deltas into the segment; because the slot table stores
-names, a parent-side ``snapshot()`` enumerates and aggregates metrics
-that only ever existed in child processes.
+Each metric is a small numpy vector mutated under a thread lock — cheap
+enough for per-batch instrumentation.
 
 Like the tracer, a module-global registry (:func:`install_metrics`)
 feeds the instrumentation helpers :func:`inc` / :func:`observe` /
@@ -28,10 +19,6 @@ feeds the instrumentation helpers :func:`inc` / :func:`observe` /
 from __future__ import annotations
 
 import contextlib
-import hashlib
-import mmap
-import multiprocessing
-import struct
 import threading
 
 import numpy as np
@@ -103,75 +90,34 @@ def set_gauge(name: str, value: float) -> None:
 
 
 # ----------------------------------------------------------------------
-# Metric value-vector layout (shared by the local and shared backends):
-# a fixed float64 vector per metric, indexed by kind.
+# Metric value-vector layout: a fixed float64 vector per metric, indexed
+# by kind.
 # ----------------------------------------------------------------------
 _KIND_COUNTER, _KIND_GAUGE, _KIND_HISTOGRAM = 1, 2, 3
-_KIND_NAMES = {_KIND_COUNTER: "counter", _KIND_GAUGE: "gauge", _KIND_HISTOGRAM: "histogram"}
 # Histogram layout: [0]=count, [1]=sum, [2]=max, [3:3+len(bounds)+1]=buckets.
 # Log-spaced bounds covering 1µs .. ~134s — the latency range of every
 # stage from one kernel call to a full workload batch.
 _HIST_BOUNDS = np.array([1e-6 * 2.0 ** k for k in range(27)])
 _VALUES = 3 + len(_HIST_BOUNDS) + 1  # 31 float64 per metric
 
-_SHARED_MAGIC = b"SBMETRIC"
-# digest, kind, name length, name bytes — names render from the slot
-# table so a parent can report metrics registered only in children.
-_SLOT = struct.Struct("<16sBH77s")
-_SLOT_NAME_MAX = 77
-
-
-def _digest(name: str) -> bytes:
-    return hashlib.blake2b(name.encode(), digest_size=16).digest()
-
 
 class MetricsRegistry:
-    """A named-metric store with an optional fork-shared aggregation tier.
+    """A thread-safe store of named counters, gauges and histograms."""
 
-    ``shared=True`` allocates the anonymous shared segment now (so create
-    the registry before forking workers); ``slots`` bounds the number of
-    distinct metric names the shared tier can hold.
-    """
-
-    def __init__(
-        self, shared: bool = False, slots: int = 512, lock_timeout: float = 2.0
-    ) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._local: dict[str, tuple[int, np.ndarray]] = {}
+        self._metrics: dict[str, tuple[int, np.ndarray]] = {}
         # Total update calls (inc/observe/set) — consumed by the overhead
         # benchmark to price the per-call instrumentation cost.
         self.update_ops = 0
-        self.dropped = 0  # shared slot-table overflow
-        self.lock_timeout = lock_timeout
-        self.shared = shared
-        if shared:
-            if slots <= 0:
-                raise ValueError("slots must be positive")
-            slots = 1 << (slots - 1).bit_length()
-            self.slots = slots
-            self._slots_base = len(_SHARED_MAGIC)
-            self._values_base = self._slots_base + slots * _SLOT.size
-            size = self._values_base + slots * _VALUES * 8
-            self._mm = mmap.mmap(-1, size)  # anonymous, fork-shared
-            self._mm[: len(_SHARED_MAGIC)] = _SHARED_MAGIC
-            self._shared_values = np.frombuffer(
-                memoryview(self._mm), dtype=np.float64, offset=self._values_base
-            ).reshape(slots, _VALUES)
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-fork platforms
-                ctx = multiprocessing.get_context()
-            self._shared_lock = ctx.Lock()
-        else:
-            self.slots = 0
 
     # ------------------------------------------------------------------
-    # Updates (thread-safe, process-local)
+    # Updates (thread-safe)
     # ------------------------------------------------------------------
     def _values(self, name: str, kind: int) -> np.ndarray:
-        entry = self._local.get(name)
+        entry = self._metrics.get(name)
         if entry is None:
-            entry = self._local[name] = (kind, np.zeros(_VALUES))
+            entry = self._metrics[name] = (kind, np.zeros(_VALUES))
         return entry[1]
 
     def inc(self, name: str, n: float = 1) -> None:
@@ -194,111 +140,21 @@ class MetricsRegistry:
             values[2] = max(values[2], value)
             values[3 + bucket] += 1
 
-    def clear_local(self) -> None:
-        """Drop unflushed local state — a freshly forked worker calls this
-        so deltas the parent accumulated before the fork are not flushed a
-        second time from the child's inherited copy."""
-        with self._lock:
-            self._local.clear()
-
-    # ------------------------------------------------------------------
-    # Shared tier
-    # ------------------------------------------------------------------
-    def _probe(self, digest: bytes):
-        """Open-addressing lookup: (slot index, occupied kind or None);
-        (None, None) when the table is full."""
-        mask = self.slots - 1
-        i = int.from_bytes(digest[:8], "little") & mask
-        for _ in range(self.slots):
-            d, kind, _, _ = _SLOT.unpack_from(self._mm, self._slots_base + i * _SLOT.size)
-            if kind == 0:
-                return i, None
-            if d == digest:
-                return i, kind
-            i = (i + 1) & mask
-        return None, None
-
-    def flush(self) -> None:
-        """Merge local deltas into the shared segment (no-op when the
-        registry is local-only).  Counters and histogram counts add, the
-        histogram max takes the max, gauges overwrite."""
-        if not self.shared:
-            return
-        with self._lock:
-            pending = [
-                (name, kind, values.copy())
-                for name, (kind, values) in self._local.items()
-                if values.any()
-            ]
-            for _, values in self._local.values():
-                values[:] = 0.0
-        if not pending:
-            return
-        if not self._shared_lock.acquire(timeout=self.lock_timeout):
-            return  # degrade to dropping this flush, never block serving
-        try:
-            for name, kind, values in pending:
-                slot, existing = self._probe(_digest(name))
-                if slot is None:
-                    self.dropped += 1
-                    continue
-                if existing is None:
-                    encoded = name.encode()[:_SLOT_NAME_MAX]
-                    _SLOT.pack_into(
-                        self._mm,
-                        self._slots_base + slot * _SLOT.size,
-                        _digest(name),
-                        kind,
-                        len(encoded),
-                        encoded.ljust(_SLOT_NAME_MAX, b"\x00"),
-                    )
-                target = self._shared_values[slot]
-                if kind == _KIND_GAUGE:
-                    target[0] = values[0]
-                elif kind == _KIND_HISTOGRAM:
-                    target[0] += values[0]
-                    target[1] += values[1]
-                    target[2] = max(target[2], values[2])
-                    target[3:] += values[3:]
-                else:
-                    target[0] += values[0]
-        finally:
-            self._shared_lock.release()
-
     # ------------------------------------------------------------------
     # Snapshot
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """A JSON-friendly view of every metric.  With a shared tier the
-        local deltas are flushed first and the segment — which aggregates
-        every process's flushes — is the source of truth."""
-        if self.shared:
-            self.flush()
-            out: dict = {}
-            if not self._shared_lock.acquire(timeout=self.lock_timeout):
-                return out
-            try:
-                for i in range(self.slots):
-                    _, kind, namelen, raw = _SLOT.unpack_from(
-                        self._mm, self._slots_base + i * _SLOT.size
-                    )
-                    if kind == 0:
-                        continue
-                    name = raw[:namelen].decode(errors="replace")
-                    out[name] = _render(kind, self._shared_values[i])
-            finally:
-                self._shared_lock.release()
-            return dict(sorted(out.items()))
+        """A JSON-friendly view of every metric."""
         with self._lock:
             return {
                 name: _render(kind, values)
-                for name, (kind, values) in sorted(self._local.items())
+                for name, (kind, values) in sorted(self._metrics.items())
             }
 
     def __repr__(self) -> str:
         return (
-            f"MetricsRegistry(shared={self.shared}, "
-            f"local_metrics={len(self._local)}, update_ops={self.update_ops})"
+            f"MetricsRegistry(metrics={len(self._metrics)}, "
+            f"update_ops={self.update_ops})"
         )
 
 

@@ -60,9 +60,8 @@ class _NoopSpan:
 
 _NOOP = _NoopSpan()
 
-# The installed tracer.  Process-global (a fork-pool worker inherits it);
-# read on every span() call, so the disabled fast path is one global
-# load plus an identity check.
+# The installed tracer.  Process-global; read on every span() call, so
+# the disabled fast path is one global load plus an identity check.
 _tracer: "Tracer | None" = None
 
 

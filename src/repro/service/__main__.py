@@ -9,8 +9,7 @@ cycle the server hot-swaps), and prints a JSON metrics report.
 The ``serve`` subcommand runs the same stack behind the network tier
 (``service/net.py``): a socket server a separate ``client`` process
 drives — the cross-process twin of the in-process demo, with optional
-live ingest rounds republishing under load (which fork-pool workers pick
-up through the catalog's generation handshake).  The ``client``
+live ingest rounds republishing under load.  The ``client``
 subcommand is the matching multi-process load generator.
 
 The ``stats-info`` subcommand prints a published version's manifest —
@@ -25,8 +24,8 @@ Examples::
     PYTHONPATH=src python -m repro.service
     PYTHONPATH=src python -m repro.service --requests 2000 --concurrency 16
     PYTHONPATH=src python -m repro.service --updates 5 --batch 32
-    PYTHONPATH=src python -m repro.service --num-workers 4 --stats-format arena
-    PYTHONPATH=src python -m repro.service serve --num-workers 2 --updates 3 &
+    PYTHONPATH=src python -m repro.service --stats-format arena
+    PYTHONPATH=src python -m repro.service serve --updates 3 &
     PYTHONPATH=src python -m repro.service client --port 7719 --requests 1000
     PYTHONPATH=src python -m repro.service stats-info demo --catalog /tmp/cat
     PYTHONPATH=src python -m repro.service explain --workload stats-ceb --query 3
@@ -233,23 +232,11 @@ def _build_demo_estimator(
     *,
     eval_kernel: str,
     stats_format: str,
-    shared_cache_bytes: int,
-    num_workers: int,
 ) -> CatalogBackedSafeBound:
-    """Build + publish demo statistics; returns the serving estimator.
-
-    With a fork pool the served estimator is re-opened from the
-    *published* archive (an mmap for the arena format) so workers inherit
-    shared file-backed pages; ``refresh(db)`` re-attaches update tracking
-    so live ingest works against the same estimator.
-    """
+    """Build + publish demo statistics; returns the serving estimator."""
     estimator = CatalogBackedSafeBound(
         catalog, "demo",
-        SafeBoundConfig(
-            track_updates=True,
-            eval_kernel=eval_kernel,
-            shared_conditioning_cache_bytes=shared_cache_bytes,
-        ),
+        SafeBoundConfig(track_updates=True, eval_kernel=eval_kernel),
         stats_format=stats_format,
     )
     estimator.build(db)
@@ -260,16 +247,6 @@ def _build_demo_estimator(
         f"{published.num_sequences} sequences, built in {published.build_seconds:.2f}s",
         file=sys.stderr,
     )
-    if num_workers > 1:
-        estimator = CatalogBackedSafeBound(
-            catalog, "demo",
-            SafeBoundConfig(
-                eval_kernel=eval_kernel,
-                shared_conditioning_cache_bytes=shared_cache_bytes,
-            ),
-            stats_format=stats_format,
-        )
-        estimator.refresh(db)
     return estimator
 
 
@@ -299,16 +276,14 @@ def serve(argv: list[str]) -> int:
     parser.add_argument("--batch", type=int, default=64, help="max micro-batch size")
     parser.add_argument("--wait-ms", type=float, default=2.0, help="max batching wait")
     parser.add_argument("--queue", type=int, default=1024, help="admission queue size")
-    parser.add_argument("--num-workers", type=int, default=0, help="fork-pool size")
     parser.add_argument("--eval-kernel", choices=("array", "object"), default="array")
     parser.add_argument("--stats-format", choices=("arena", "v1"), default="arena")
-    parser.add_argument("--shared-cache-mb", type=float, default=0.0)
     parser.add_argument("--catalog", default=None, help="catalog root (default: temp dir)")
     parser.add_argument(
         "--updates", type=int, default=0,
         help="ingest rounds streamed while serving (each pads the live "
-        "statistics; the background worker republishes, and fork-pool "
-        "workers hot-swap to the new version via the generation stamp)",
+        "statistics; the background worker republishes and the server "
+        "hot-swaps to the new version)",
     )
     parser.add_argument(
         "--update-interval", type=float, default=1.0,
@@ -333,10 +308,9 @@ def serve(argv: list[str]) -> int:
     if root is None:
         tmp = tempfile.TemporaryDirectory(prefix="safebound-catalog-")
         root = tmp.name
-    shared_cache_bytes = int(args.shared_cache_mb * (1 << 20))
 
     # A SIGTERM (how CI stops the server) unwinds like Ctrl-C so the
-    # server, pool and catalog tempdir all clean up.
+    # server and catalog tempdir clean up.
     signal.signal(signal.SIGTERM, lambda *_: (_ for _ in ()).throw(KeyboardInterrupt()))
     try:
         catalog = StatsCatalog(root)
@@ -344,8 +318,6 @@ def serve(argv: list[str]) -> int:
             catalog, db,
             eval_kernel=args.eval_kernel,
             stats_format=args.stats_format,
-            shared_cache_bytes=shared_cache_bytes,
-            num_workers=args.num_workers,
         )
         ingest = UpdateIngest(db, estimator, republish_overhead=0.05)
         worker = RepublishWorker(ingest, poll_seconds=0.05) if args.updates else None
@@ -355,7 +327,6 @@ def serve(argv: list[str]) -> int:
             max_batch=args.batch,
             max_wait_ms=args.wait_ms,
             refresh_db=db,
-            num_workers=args.num_workers,
             metrics_json_path=args.metrics_json,
             json_log=sys.stderr if args.log_json else None,
         )
@@ -573,19 +544,6 @@ def main(argv: list[str] | None = None) -> int:
         "the compressed .npz object archive",
     )
     parser.add_argument(
-        "--num-workers", type=int, default=0,
-        help="fork this many serving processes that inherit the loaded "
-        "statistics mmap (>1 enables multi-process mode; composes with "
-        "--updates through the catalog's generation handshake — workers "
-        "hot-swap to each republished version per batch)",
-    )
-    parser.add_argument(
-        "--shared-cache-mb", type=float, default=0.0,
-        help="size (MiB) of the shared conditioned-CDS cache; allocated "
-        "before the serving pool forks, so workers reuse each other's "
-        "conditioning work (0 disables; bounds are identical either way)",
-    )
-    parser.add_argument(
         "--metrics-json", default=None, metavar="PATH",
         help="periodically rewrite a metrics-snapshot JSON file at this "
         "path while the server runs",
@@ -609,15 +567,12 @@ def main(argv: list[str] | None = None) -> int:
     else:
         root = args.catalog
 
-    shared_cache_bytes = int(args.shared_cache_mb * (1 << 20))
     try:
         catalog = StatsCatalog(root)
         estimator = _build_demo_estimator(
             catalog, db,
             eval_kernel=args.eval_kernel,
             stats_format=args.stats_format,
-            shared_cache_bytes=shared_cache_bytes,
-            num_workers=args.num_workers,
         )
         ingest = UpdateIngest(db, estimator, republish_overhead=0.05)
         worker = RepublishWorker(ingest, poll_seconds=0.05) if args.updates else None
@@ -627,7 +582,6 @@ def main(argv: list[str] | None = None) -> int:
             max_batch=args.batch,
             max_wait_ms=args.wait_ms,
             refresh_db=db,
-            num_workers=args.num_workers,
             metrics_json_path=args.metrics_json,
             metrics_json_interval=args.metrics_interval,
             json_log=sys.stderr if args.log_json else None,
@@ -647,15 +601,12 @@ def main(argv: list[str] | None = None) -> int:
         report.pop("results")
         report["eval_kernel"] = args.eval_kernel
         report["stats_format"] = args.stats_format
-        report["num_workers"] = args.num_workers
         report["catalog_versions"] = [v.label for v in catalog.versions("demo")]
         report["served_version"] = estimator.version
         report["staleness"] = round(estimator.staleness(), 4)
-        # Parent-side view of the conditioning caches; with a fork pool,
-        # the "shared" tier aggregates hits across every worker (the
-        # per-batch snapshot also appears under metrics.conditioning_cache).
+        # The served version's conditioning-cache counters (the per-batch
+        # snapshot also appears under metrics.conditioning_cache).
         report["conditioning_cache"] = estimator.conditioning_cache_stats()
-        report["shared_cache_mb"] = args.shared_cache_mb
         if args.updates:
             report["ingest"] = {
                 "inserted_rows": ingest.inserted_rows,

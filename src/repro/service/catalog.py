@@ -79,10 +79,10 @@ _ARCHIVE_RE = re.compile(r"^v(\d{6})\.(sba|npz)$")
 # explicit CLI fsck runs with 0 — the operator asserts nothing is live.
 _STALE_TMP_SECONDS = 60.0
 # The arena-generation stamp published next to the manifest: a tiny file
-# holding the latest version number.  Fork-pool workers (and other
-# processes — or other hosts sharing the catalog over a filesystem) read
-# it per batch as a cheap "did anything publish?" check, and only parse
-# the manifest / re-open an archive on a mismatch.
+# holding the latest version number.  Other processes (or other hosts
+# sharing the catalog over a filesystem) read it as a cheap "did anything
+# publish?" check without parsing the manifest; the serving tier's
+# ``health`` verb reports it.
 _GENERATION_NAME = "GENERATION"
 
 
@@ -289,7 +289,7 @@ class StatsCatalog:
             # atomic rename, or an injected tear).  Self-heal: rebuild it
             # from the readable archives on disk, quarantining the rest,
             # then re-read.  Deterministic from disk state, so concurrent
-            # healers (e.g. several fork workers) converge benignly.
+            # healers (e.g. several processes) converge benignly.
             with self._lock:
                 report = FsckReport(root=str(self.root), databases=[database])
                 self._fsck_database(database, report, stale_tmp_seconds=_STALE_TMP_SECONDS)
@@ -684,19 +684,12 @@ class CatalogBackedSafeBound(CardinalityEstimator):
         self._swap_lock = threading.Lock()
         self._safebound: SafeBound | None = None
         self._version: int | None = None
-        self.last_refresh_error: Exception | None = None
-        # When set, every ``apply_insert`` publishes the freshly padded
-        # statistics as a new catalog version (:meth:`publish_snapshot`)
-        # before returning — i.e. before the caller makes the inserted
-        # rows visible.  The fork-pool server flips this on at start():
-        # padding applied here lives in *this process's* memory, and
-        # without a publish the pool workers (which re-check only the
-        # catalog's generation stamp) would keep serving their forked,
-        # unpadded statistics over the enlarged database until the next
-        # recompress-and-republish — an underestimation window the ingest
-        # ordering contract forbids.
-        self.publish_pad_snapshots = False
-        self.snapshot_publishes = 0
+        # Inserts this estimator has padded into its served statistics
+        # (monotonic across swaps).  Every publish records the count its
+        # statistics were built through, and ``refresh`` never swaps to a
+        # version built before an insert already padded here: that swap
+        # would drop the padding while the inserted rows stay visible.
+        self.inserts_applied = 0
 
     # ------------------------------------------------------------------
     @property
@@ -736,11 +729,15 @@ class CatalogBackedSafeBound(CardinalityEstimator):
         self.build_seconds = sb.build_seconds
 
     def build_metadata(self) -> dict:
-        """Build-parallelism provenance recorded with every publish."""
+        """Build provenance recorded with every publish: the parallelism
+        and the inserts the statistics were built through (the builder
+        holds the update stream still, so every insert applied so far is
+        in the data it builds from)."""
         return {
             "build_workers": self.config.build_workers,
             "build_shard_rows": self.config.build_shard_rows,
             "build_pool": self.config.build_pool,
+            "inserts_applied": self.inserts_applied,
         }
 
     def refresh(self, db: Database | None = None) -> bool:
@@ -750,7 +747,10 @@ class CatalogBackedSafeBound(CardinalityEstimator):
         are not part of the published archive) — it is attached even when
         the version is already current, so a trackerless swap done by the
         server's poll gets repaired by the ingest's own refresh call.
-        Returns True when a swap happened.
+        Returns True when a swap happened.  A version built through fewer
+        inserts than this estimator has padded in (e.g. one whose
+        republish failed after publishing, or one fsck recovered) is not
+        swapped to; the next republish supersedes it.
 
         The estimator owns a private from-disk copy of the version it
         serves (``fresh=True``): it mutates those statistics on every
@@ -759,7 +759,11 @@ class CatalogBackedSafeBound(CardinalityEstimator):
         """
         with self._swap_lock:
             latest = self.catalog.latest(self.database)
-            if latest is None or latest.version == self._version:
+            if (
+                latest is None
+                or latest.version == self._version
+                or latest.metadata.get("inserts_applied", 0) < self.inserts_applied
+            ):
                 self._ensure_tracking(db)
                 return False
             stats = self.catalog.load(self.database, latest.version, fresh=True)
@@ -772,62 +776,10 @@ class CatalogBackedSafeBound(CardinalityEstimator):
                 self._version = latest.version
             return True
 
-    def publish_snapshot(self, note: str = "pad snapshot") -> StatsVersion:
-        """Publish the *currently served, in-memory* statistics as a new
-        catalog version and adopt its version number in place — no reload.
-
-        Unlike :meth:`UpdateIngest.republish` this does **not** rebuild:
-        the archive is a serialization of the live (padded) statistics,
-        so it is cheap relative to a recompression and, crucially, it
-        carries the padding counters — ``pending_inserts`` survives a
-        save/load cycle — which is what makes a re-opened copy in another
-        process exactly as sound as the parent's in-memory view.  The
-        served object is untouched (its frequency counters and tighter
-        self-recompressed CDSs stay live); only ``version`` advances, so
-        the parent's own refresh poll sees nothing to swap while every
-        generation-handshake reader re-opens the padded version.
-        """
-        with self._swap_lock:
-            sb = self._current()
-            published = self.catalog.publish(
-                self.database,
-                sb.stats,
-                note=note,
-                metadata={**self.build_metadata(), "pad_snapshot": True},
-                stats_format=self.stats_format,
-            )
-            with self._lock:
-                self._version = published.version
-            self.snapshot_publishes += 1
-            return published
-
     def generation(self) -> int:
         """The catalog's published generation for this database (the
         latest version number; one tiny file read)."""
         return self.catalog.generation(self.database)
-
-    def refresh_if_stale(self, db: Database | None = None) -> bool:
-        """The cheap cross-process hot-swap check: compare the catalog's
-        generation stamp against the served version and :meth:`refresh`
-        only on a mismatch.  Fork-pool workers call this once per batch —
-        the stamp read is a few microseconds, and for arena archives the
-        re-open on mismatch is O(manifest) (the data pages are mmapped,
-        shared, and untouched until used).
-
-        Errors are swallowed (recorded in ``last_refresh_error``): a
-        transient catalog IO failure must degrade to serving the current
-        version, never fail a batch.
-        """
-        try:
-            if self.generation() == self._version:
-                self.last_refresh_error = None
-                return False
-            swapped = self.refresh(db)
-            self.last_refresh_error = None
-            return swapped
-        except Exception as exc:
-            self.last_refresh_error = exc
-            return False
 
     def _ensure_tracking(self, db: Database | None) -> None:
         """Attach update tracking to the served stats if it is missing."""
@@ -856,14 +808,12 @@ class CatalogBackedSafeBound(CardinalityEstimator):
         return self._current().estimate_batch(queries)
 
     def apply_insert(self, table: str, rows: dict) -> int:
-        n = self._current().apply_insert(table, rows)
-        if self.publish_pad_snapshots:
-            # Publish *between* padding and the caller's append: any
-            # cross-process reader that observes the enlarged database
-            # necessarily starts its next batch after this generation
-            # bump, so it re-opens padded statistics first.
-            self.publish_snapshot(note=f"pad snapshot (+{n} rows into {table!r})")
-        return n
+        # Under the swap lock, so a concurrent refresh either completes
+        # first (and this pads the new version) or sees the new count.
+        with self._swap_lock:
+            n = self._current().apply_insert(table, rows)
+            self.inserts_applied += 1
+            return n
 
     def apply_delete(self, table: str, rows: dict) -> int:
         return self._current().apply_delete(table, rows)

@@ -1,10 +1,10 @@
 """Deterministic fault injection for the serving stack.
 
 The paper's guarantee — bounds never underestimate, even under updates —
-is delivered by a pipeline of processes and files (catalog publishes,
-fork workers, socket frames, republish cycles), and every link can fail:
-a torn manifest write, a SIGKILLed worker, a reset connection, a
-persistent republish error.  The resilience machinery that survives
+is delivered by a pipeline of files, sockets and threads (catalog
+publishes, socket frames, micro-batches, republish cycles), and every
+link can fail: a torn manifest write, a stalled batch, a reset
+connection, a persistent republish error.  The resilience machinery that survives
 those faults is only trustworthy if CI can *provoke* them on demand, the
 same way every time.  This module is that provocation layer.
 
@@ -13,19 +13,17 @@ A :class:`FaultPlan` is a set of named **sites** (strings like
 arrival, fire n times, or fire with a seeded per-site probability — all
 deterministic, so a failing chaos seed replays exactly.  Installing a
 plan (:func:`install_faults` / the :func:`faults_installed` context
-manager) makes it the process-global plan; fork children inherit it, so
-one plan covers the parent, the pool workers, and anything they exec via
-fork.
+manager) makes it the process-global plan; forked children (the
+load generator's client processes) inherit it.
 
 Production code threads **site checks** through its fault points:
 
-* :func:`fire` — raise :class:`InjectedFault` (an ``OSError``), sleep
-  (``action="sleep"``), or SIGKILL the calling process
-  (``action="kill"``) when the site triggers;
+* :func:`fire` — raise :class:`InjectedFault` (an ``OSError``) or sleep
+  (``action="sleep"``) when the site triggers;
 * :func:`corrupt` — return ``transform(value)`` when the site triggers,
   ``value`` itself (same object, so callers can test identity)
   otherwise.  The *call site* defines what corruption means — a torn
-  manifest is truncated text, a poisoned batch is a short estimate list.
+  manifest is truncated text, a partial response is a cut-off frame.
 
 With no plan installed both helpers are one module-global load plus a
 ``None`` check — the same zero-overhead discipline as ``obs.tracing``:
@@ -39,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import os
 import random
-import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -83,8 +80,7 @@ class FaultSpec:
     plan — deterministic per (seed, site, arrival index).
 
     ``action`` is what a trigger does: ``"raise"`` throws
-    :class:`InjectedFault`, ``"sleep"`` blocks for ``delay`` seconds,
-    ``"kill"`` SIGKILLs the calling process (a worker-crash fault), and
+    :class:`InjectedFault`, ``"sleep"`` blocks for ``delay`` seconds, and
     ``"corrupt"`` makes :func:`corrupt` apply its caller-supplied
     transform.  A ``"corrupt"`` spec is inert at :func:`fire` sites and
     vice versa — the site kind is part of the contract.
@@ -99,7 +95,7 @@ class FaultSpec:
     detail: str = ""
 
     def __post_init__(self) -> None:
-        if self.action not in ("raise", "sleep", "kill", "corrupt"):
+        if self.action not in ("raise", "sleep", "corrupt"):
             raise ValueError(f"unknown fault action {self.action!r}")
         if self.probability is not None and not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must be in [0, 1]")
@@ -117,7 +113,7 @@ class FaultPlan:
     """A seeded, installable schedule of fault sites.
 
     Thread-safe: arrival counting and trigger decisions happen under one
-    lock, so concurrent connection/worker threads see a consistent
+    lock, so concurrent connection/batching threads see a consistent
     per-site sequence.  ``counts()`` reports arrivals and fires per site
     — what chaos tests assert to prove their faults actually happened.
     """
@@ -155,7 +151,7 @@ class FaultPlan:
     def _trigger(self, site: str, kind: str) -> FaultSpec | None:
         """Count one arrival at ``site``; the spec if it triggers now.
 
-        ``kind`` partitions sites into ``fire`` (raise/sleep/kill) and
+        ``kind`` partitions sites into ``fire`` (raise/sleep) and
         ``corrupt`` ones so a spec only ever triggers at the site shape
         it was written for.
         """
@@ -184,9 +180,6 @@ class FaultPlan:
         if spec.action == "sleep":
             time.sleep(spec.delay)
             return
-        if spec.action == "kill":
-            os.kill(os.getpid(), signal.SIGKILL)
-            return  # pragma: no cover - the process is gone
         raise InjectedFault(site, spec.detail)
 
     def corrupt(self, site: str, value, transform):
@@ -204,8 +197,8 @@ _plan: FaultPlan | None = None
 
 
 def _reset_plan_lock_after_fork() -> None:
-    # A pool respawn can fork while another thread of the parent is
-    # inside a site check holding the plan lock; the child would inherit
+    # A fork (e.g. the load generator's client processes) can happen
+    # while another thread is inside a site check holding the plan lock; the child would inherit
     # it locked and deadlock on its first site.  Fresh lock per child —
     # the counters are per-process anyway.
     plan = _plan
@@ -221,10 +214,9 @@ def get_faults() -> FaultPlan | None:
 
 
 def install_faults(plan: FaultPlan) -> FaultPlan:
-    """Install ``plan`` process-wide.  Forked children (pool workers,
-    load-generator processes) inherit the installed plan — each with its
-    own copy of the counters, so a per-worker schedule (e.g. "kill after
-    3 batches") applies to every worker independently."""
+    """Install ``plan`` process-wide.  Forked children (load-generator
+    processes) inherit the installed plan, each with its own copy of the
+    counters."""
     global _plan
     _plan = plan
     return plan
@@ -248,7 +240,7 @@ def faults_installed(plan: FaultPlan):
 
 
 def fire(site: str) -> None:
-    """The raise/sleep/kill site check (no-op without an installed plan)."""
+    """The raise/sleep site check (no-op without an installed plan)."""
     plan = _plan
     if plan is not None:
         plan.fire(site)

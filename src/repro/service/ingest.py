@@ -70,17 +70,6 @@ class UpdateIngest:
       recompression triggered by the delete can only tighten to data that
       is already gone.
 
-    The same ordering holds across processes: when the estimator's
-    ``publish_pad_snapshots`` switch is on (the fork-pool server sets it
-    at start), ``apply_insert`` publishes the padded statistics as a
-    catalog version before returning — i.e. before ``append_rows`` makes
-    the insert visible — so generation-handshake readers in other
-    processes re-open padded statistics before they can observe the
-    enlarged database.  Serving live ingest from a fork pool therefore
-    requires a :class:`CatalogBackedSafeBound`; with a plain estimator
-    the pool serves a frozen forked snapshot that no parent-side padding
-    or swap ever reaches.
-
     With a catalog-backed estimator, :meth:`republish` closes the loop:
     rebuild against the current data, publish, and swap — all under the
     ingest lock so no update lands between the rebuild snapshot and the

@@ -3,7 +3,7 @@
 The paper reports planning-time medians; a serving deployment needs tail
 latency too, so the recorder keeps a bounded reservoir of recent samples
 and summarises p50/p95/p99.  All mutators take a lock — they are called
-from client threads (admission), the worker thread (batching), and the
+from client threads (admission), the batching thread, and the
 ingest thread concurrently.
 """
 
@@ -78,15 +78,6 @@ class ServerMetrics:
         self.batched_requests = 0
         self.max_batch = 0
         self.swaps = 0
-        # Dead-worker reaping (fork-pool mode): reap events seen and
-        # batches failed by them.
-        self.worker_reaps = 0
-        self.reaped_batches = 0
-        # Worker deaths the pool replaced (each reap respawns) and
-        # circuit-breaker trips — a respawn storm beyond the server's
-        # bounded restart rate degrades it to single-process serving.
-        self.worker_respawns = 0
-        self.breaker_trips = 0
         # Queue wait (admission -> batch start) and total request latency
         # (admission -> result), in seconds.
         self.queue_latency = LatencyRecorder()
@@ -95,12 +86,9 @@ class ServerMetrics:
         # counters (SafeBound.conditioning_cache_stats); set by the server
         # when the estimator exposes one, sampled at snapshot time.
         self.conditioning_source = None
-        # Optional callable returning pool-worker liveness (the server's
-        # worker_pids plus reap counters), set in fork-pool mode.
-        self.workers_source = None
-        # Optional callable returning the fork-shared observability
-        # registry's snapshot (repro.obs MetricsRegistry) — the aggregated
-        # kernel/cache/latency counters of parent and every pool worker.
+        # Optional callable returning the installed observability
+        # registry's snapshot (repro.obs MetricsRegistry) — the
+        # kernel/cache/latency counters of the serving process.
         self.obs_source = None
         # Optional callable returning the server's health verdict
         # (EstimationServer.health_status): ok/degraded/stopped plus the
@@ -134,19 +122,6 @@ class ServerMetrics:
         with self._lock:
             self.swaps += 1
 
-    def record_reap(self, batches: int) -> None:
-        with self._lock:
-            self.worker_reaps += 1
-            self.reaped_batches += batches
-
-    def record_respawn(self, count: int = 1) -> None:
-        with self._lock:
-            self.worker_respawns += count
-
-    def record_breaker_trip(self) -> None:
-        with self._lock:
-            self.breaker_trips += 1
-
     # ------------------------------------------------------------------
     @property
     def mean_batch_size(self) -> float:
@@ -165,10 +140,6 @@ class ServerMetrics:
                 "batched_requests": self.batched_requests,
                 "max_batch": self.max_batch,
                 "swaps": self.swaps,
-                "worker_reaps": self.worker_reaps,
-                "reaped_batches": self.reaped_batches,
-                "worker_respawns": self.worker_respawns,
-                "breaker_trips": self.breaker_trips,
             }
         counters["mean_batch_size"] = (
             counters["batched_requests"] / counters["batches"]
@@ -179,7 +150,6 @@ class ServerMetrics:
         counters["request_latency"] = self.request_latency.summary()
         for key, source in (
             ("conditioning_cache", self.conditioning_source),
-            ("workers", self.workers_source),
             ("observability", self.obs_source),
             ("health", self.health_source),
         ):

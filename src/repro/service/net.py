@@ -16,12 +16,11 @@ Verbs (the ``op`` field of each request frame):
   off, never a dropped connection.
 * ``bound_batch`` — several queries; per-item results so one overloaded
   slot does not discard the computed remainder.
-* ``metrics`` — the server's full metrics snapshot.  In fork-pool mode
-  this includes the ``observability`` block aggregated from the
-  fork-shared registry, i.e. kernel/cache/swap counters flushed by every
-  worker process.
+* ``metrics`` — the server's full metrics snapshot, including the
+  ``observability`` block of the installed metrics registry when one is
+  installed.
 * ``health`` — liveness plus the served statistics version and the
-  catalog generation (the cross-process hot-swap handshake state).
+  catalog generation.
 
 Malformed input degrades per-connection: a bad frame gets a
 ``bad_request`` response (when the stream is still framed) and the
@@ -198,6 +197,13 @@ class NetServer:
         self._stopping = True
         listener, self._listener = self._listener, None
         if listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does (accept fails with EINVAL), so the
+            # accept thread exits now instead of at the join timeout.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:
@@ -396,12 +402,7 @@ class NetServer:
 
     def _handle_health(self) -> dict:
         estimator = self.server.estimator
-        info = {
-            "ok": True,
-            "pid": os.getpid(),
-            "num_workers": self.server.num_workers,
-            "worker_pids": self.server.worker_pids(),
-        }
+        info = {"ok": True, "pid": os.getpid()}
         health = getattr(self.server, "health_status", None)
         if callable(health):
             # ok / degraded / stopped plus the liveness/readiness split

@@ -1,61 +1,37 @@
 """Micro-batching estimation server.
 
-PR 1 made ``SafeBound.estimate_batch`` group queries by skeleton so one
-compiled skeleton and one warm conditioning cache serve a whole batch.
-This server turns that library-level batching into a serving-side win:
-concurrent clients submit single queries onto a bounded queue, a worker
-thread coalesces them into micro-batches (up to ``max_batch`` requests or
-``max_wait_ms`` of extra latency, whichever first), and the whole batch
-flows through ``estimate_batch`` — so requests that share a query shape
-share all compilation and conditioning work.
+``SafeBound.estimate_batch`` groups queries by skeleton so one compiled
+skeleton and one warm conditioning cache serve a whole batch.  This
+server turns that library-level batching into a serving-side win:
+concurrent clients submit single queries onto a bounded queue, one
+batching thread coalesces them into micro-batches (up to ``max_batch``
+requests or ``max_wait_ms`` of extra latency, whichever first), and the
+whole batch flows through ``estimate_batch`` in this process — so
+requests that share a query shape share all compilation and
+conditioning work.
 
 Admission control is the bounded queue: when it is full, ``submit``
 raises :class:`ServerOverloadedError` instead of growing an unbounded
-backlog.  Between batches the worker polls its estimator for a newer
+backlog.  Between batches the thread polls its estimator for a newer
 catalog version (``refresh``), giving hot statistics swaps without ever
-rejecting or failing a request.
-
-**Multi-process serving.**  ``num_workers > 1`` adds a fork-based process
-pool behind the batching thread: micro-batches are dispatched to worker
-processes (bounded in-flight, so admission control still holds) and
-several batches evaluate concurrently on separate cores.  The workers
-*fork from the parent after its estimator is fully loaded*, so
-arena-backed (mmap) statistics cost almost nothing per worker — the
-mapped pages are file-backed and shared read-only by the OS, and each
-child's incremental resident memory is just what it privately touches.
-Hot swap composes with the pool through the catalog's generation stamp:
-when the estimator exposes ``refresh_if_stale`` (a
-``CatalogBackedSafeBound``), every worker re-checks the stamp at the
-start of each batch and re-opens the newly published arena version
-read-only on a mismatch — mmap makes the re-open O(manifest) — so a
-publish propagates to every worker without dropping a request.  Live
-ingest composes too: ``start()`` flips the estimator's
-``publish_pad_snapshots`` switch, so every ``apply_insert`` publishes
-its freshly padded statistics as a catalog version *before* the ingest
-makes the inserted rows visible — the generation handshake then carries
-the padding to every worker, closing the window in which a worker could
-serve unpadded statistics over the enlarged database (recompress-and-
-republish still runs in the background to tighten the padding away).
-An estimator *without* the handshake still serves a frozen forked
-snapshot, and refresh polling stays disabled for it.
+rejecting or failing a request.  Because every batch is evaluated on
+the one estimator object, padding applied by live ingest
+(``apply_insert``) is visible to the very next batch — no statistics
+need to cross a process boundary.
 """
 
 from __future__ import annotations
 
-import gc
-import itertools
 import json
-import multiprocessing
 import os
 import queue
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from ..db.query import Query
-from ..obs.metrics import MetricsRegistry, get_metrics, inc as _metric_inc, install_metrics, observe as _metric_observe, uninstall_metrics
+from ..obs.metrics import get_metrics, inc as _metric_inc, observe as _metric_observe
 from ..obs.tracing import span as _span
 from . import faults
 from .metrics import ServerMetrics
@@ -78,106 +54,6 @@ class ServerOverloadedError(RuntimeError):
     retry_after_ms: float | None = None
 
 
-# ----------------------------------------------------------------------
-# Fork-based worker pool plumbing.  Estimators are handed to children
-# through fork inheritance of a module-level registry — never pickled —
-# so the children share the parent's mmap-backed statistics pages for
-# free.  A registry entry lives as long as its pool: the pool respawns a
-# replacement worker (forked from the parent *at that later moment*)
-# after a worker death, and the replacement must still find the
-# estimator under its key.
-_fork_lock = threading.Lock()
-_fork_estimators: dict[int, object] = {}
-_fork_counter = itertools.count(1)
-
-
-def _pool_worker_init() -> None:
-    # The child's inherited copy of the installed metrics registry still
-    # holds whatever local deltas the parent had not flushed at fork time;
-    # drop them so they are not merged into the shared segment twice.
-    registry = get_metrics()
-    if registry is not None:
-        registry.clear_local()
-    # Freeze the inherited heap: without it, the child's first garbage
-    # collection touches (and therefore copy-on-writes) every inherited
-    # object's header, inflating per-worker resident memory for no reason.
-    gc.freeze()
-
-
-def _pool_estimate(key: int, queries: list[Query]) -> list[float]:
-    try:
-        # Chaos sites: "server.worker.kill" SIGKILLs this worker mid-batch
-        # (the reaper and the pool's auto-respawn must recover),
-        # "server.batch.slow" stalls the batch.
-        faults.fire("server.worker.kill")
-        faults.fire("server.batch.slow")
-        estimator = _fork_estimators[key]
-        # The cross-process hot-swap handshake: one generation-stamp read
-        # per batch; on mismatch this worker re-opens the newly published
-        # version (its private copy-on-write estimator swaps — siblings
-        # run their own check on their next batch).  Errors degrade to
-        # serving the current version inside refresh_if_stale.
-        check = getattr(estimator, "refresh_if_stale", None)
-        if check is not None:
-            if check():
-                _metric_inc("server.worker_swaps")
-            # Swallowed refresh failures live in *this worker's* memory —
-            # surface them through the fork-shared registry so the
-            # parent's health snapshot sees a failing catalog even when
-            # only the workers touch it.
-            if getattr(estimator, "last_refresh_error", None) is not None:
-                _metric_inc("server.worker_refresh_errors")
-        estimates = estimator.estimate_batch(queries)
-        # "server.batch.poison": a corrupted worker reply (one estimate
-        # short) — the parent's count-mismatch guard must fail the batch
-        # loudly rather than resolve a truncated one.
-        return faults.corrupt(
-            "server.batch.poison", estimates, lambda e: list(e)[:-1]
-        )
-    finally:
-        # Publish this worker's kernel/cache counters into the fork-shared
-        # segment so the parent's snapshot aggregates them.
-        registry = get_metrics()
-        if registry is not None and registry.shared:
-            registry.flush()
-
-
-def _fork_pool(estimator, num_workers: int):
-    """A ``num_workers``-process pool whose children inherit ``estimator``
-    via fork (POSIX only); created eagerly so every worker forks *now*,
-    while the parent is quiescent, not at first dispatch.  Returns the
-    registry key and the pool; release the key with
-    :func:`_release_fork_pool` after the pool is torn down."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        raise RuntimeError("num_workers > 1 requires the fork start method (POSIX)")
-    # Force lazy arena-backed statistics to materialize fully before any
-    # fork: a concurrent reader holding the materialization lock at fork
-    # time would leave the child's inherited lock locked forever, and
-    # once everything is materialized that lock is never taken again —
-    # neither by these workers nor by pool respawns, which fork at
-    # arbitrary later moments.  (Children inheriting the materialized
-    # wrappers instead of building private ones is also what keeps their
-    # incremental resident memory small.)
-    warm = getattr(estimator, "memory_bytes", None)
-    if callable(warm):
-        warm()
-    ctx = multiprocessing.get_context("fork")
-    with _fork_lock:
-        key = next(_fork_counter)
-        _fork_estimators[key] = estimator
-        try:
-            pool = ctx.Pool(processes=num_workers, initializer=_pool_worker_init)
-        except BaseException:
-            _fork_estimators.pop(key, None)
-            raise
-        return key, pool
-
-
-def _release_fork_pool(key: int) -> None:
-    with _fork_lock:
-        _fork_estimators.pop(key, None)
-
-
 @dataclass
 class _Request:
     query: Query
@@ -193,18 +69,8 @@ class EstimationServer:
 
     ``estimator`` is anything with ``estimate_batch`` (a ``SafeBound``, a
     ``CatalogBackedSafeBound``, or any harness estimator).  When it also
-    exposes ``refresh()``, the worker calls it between batches every
-    ``refresh_seconds`` — the catalog hot-swap hook.
-
-    ``num_workers > 1`` forks that many worker processes at :meth:`start`
-    (after the estimator is loaded, so they inherit it — and its mmap
-    pages — by fork) and evaluates micro-batches on the pool, several in
-    flight at once.  An estimator with the ``refresh_if_stale`` handshake
-    (``CatalogBackedSafeBound``) hot-swaps in pool mode too: workers
-    check the catalog's generation stamp per batch and re-open a newly
-    published version; the parent keeps its own refresh poll so metrics
-    and ingest see the swap.  Estimators without the handshake serve a
-    frozen forked snapshot with refresh polling disabled.
+    exposes ``refresh()``, the batching thread calls it between batches
+    every ``refresh_seconds`` — the catalog hot-swap hook.
     """
 
     def __init__(
@@ -217,12 +83,9 @@ class EstimationServer:
         refresh_seconds: float = 0.05,
         refresh_db=None,
         metrics: ServerMetrics | None = None,
-        num_workers: int = 0,
         metrics_json_path: str | None = None,
         metrics_json_interval: float = 5.0,
         json_log=None,
-        max_respawns: int = 8,
-        respawn_window_seconds: float = 30.0,
         degraded_after_failures: int = 3,
     ) -> None:
         if max_batch <= 0:
@@ -234,12 +97,11 @@ class EstimationServer:
         self.refresh_db = refresh_db
         self.metrics = metrics or ServerMetrics()
         # Surface the estimator's conditioning-cache counters in metrics
-        # snapshots (the shared tier aggregates across fork workers).
+        # snapshots.
         stats_fn = getattr(estimator, "conditioning_cache_stats", None)
         if callable(stats_fn):
             self.metrics.conditioning_source = stats_fn
-        self.num_workers = num_workers
-        # Periodic metrics dump: the worker loop rewrites this JSON file
+        # Periodic metrics dump: the batching loop rewrites this JSON file
         # every ``metrics_json_interval`` seconds while running.
         self.metrics_json_path = metrics_json_path
         self.metrics_json_interval = metrics_json_interval
@@ -248,50 +110,11 @@ class EstimationServer:
         # per rejected request / failed batch (the ``--log-json`` flag).
         self.json_log = json_log
         self._json_log_lock = threading.Lock()
-        self._obs_registry: MetricsRegistry | None = None
-        self._installed_registry = False
         self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
         self._thread: threading.Thread | None = None
-        self._pool = None
-        self._fork_key: int | None = None
-        # Bounds dispatched-but-unfinished batches in pool mode, so the
-        # batching thread backs up (and admission control engages) instead
-        # of growing an unbounded task backlog inside the pool.
-        self._inflight: threading.BoundedSemaphore | None = None
-        # Dispatched-but-unsettled batches, keyed by a dispatch id.  Each
-        # entry settles exactly once — by its result callback, its error
-        # callback, or the dead-worker reaper — which is what releases its
-        # in-flight permit and resolves its futures.  Entries carry their
-        # own semaphore so a settle that straddles a stop/start cycle
-        # releases the permit it actually holds, plus their dispatch
-        # timestamp so pool-mode batch latency lands in the obs registry.
-        self._inflight_lock = threading.Lock()
-        self._inflight_batches: dict[
-            int, tuple[list[_Request], threading.BoundedSemaphore, float]
-        ] = {}
-        self._dispatch_counter = itertools.count()
-        self._known_worker_pids: set[int] = set()
-        # Pool mode turns on the estimator's pad-snapshot publishing (see
-        # start()); holds the flag's pre-start value for restore on stop.
-        self._restore_pad_snapshots: bool | None = None
         self._accepting = False
         self._last_refresh = time.monotonic()
         self.last_refresh_error: Exception | None = None
-        # Supervised respawn budget: ``multiprocessing.Pool`` replaces a
-        # dead worker automatically (forking a fresh one that re-finds the
-        # estimator through the fork registry); the supervisor's job is to
-        # *bound the restart rate*.  More than ``max_respawns`` deaths
-        # within ``respawn_window_seconds`` is a respawn storm — something
-        # systematically kills workers, and endlessly re-forking them
-        # burns CPU while failing every in-flight batch — so the circuit
-        # breaker trips: the pool is torn down and the server degrades to
-        # single-process serving on the parent's estimator (bounds stay
-        # correct; throughput drops).
-        self.max_respawns = max_respawns
-        self.respawn_window_seconds = respawn_window_seconds
-        self._respawn_times: deque[float] = deque()
-        self.breaker_tripped = False
-        self.breaker_reason: str | None = None
         # Degraded-mode threshold: this many *consecutive* refresh
         # failures flips health to "degraded" (serving continues on the
         # pinned generation); one success resets it — auto-recovery.
@@ -305,40 +128,10 @@ class EstimationServer:
     def start(self) -> "EstimationServer":
         if self._thread is not None:
             raise RuntimeError("server already started")
-        self.breaker_tripped = False
-        self.breaker_reason = None
-        self._respawn_times.clear()
         self._consecutive_refresh_failures = 0
-        if self.num_workers > 1:
-            # Install a fork-shared observability registry *before* the
-            # pool forks, so every worker inherits the same shared segment
-            # and the parent snapshot aggregates their kernel/cache
-            # counters.  An already-installed shared registry is reused
-            # (e.g. a harness-level one spanning several servers).
-            registry = get_metrics()
-            if registry is None or not registry.shared:
-                registry = install_metrics(MetricsRegistry(shared=True))
-                self._installed_registry = True
-            self._obs_registry = registry
+        registry = get_metrics()
+        if registry is not None:
             self.metrics.obs_source = registry.snapshot
-            self.metrics.workers_source = self._worker_liveness
-            # Live ingest composes with the pool only if every insert's
-            # padding reaches the workers *before* the inserted rows
-            # become visible.  apply_insert pads this process's memory;
-            # the workers re-check only the catalog's generation stamp —
-            # so make the estimator publish each insert's padded
-            # statistics as a catalog version (a serialization, not a
-            # rebuild), which the per-batch handshake then picks up.
-            # Without this, worker-served bounds between an insert and
-            # the next staleness-triggered republish could underestimate.
-            if hasattr(self.estimator, "publish_pad_snapshots"):
-                self._restore_pad_snapshots = self.estimator.publish_pad_snapshots
-                self.estimator.publish_pad_snapshots = True
-            self._fork_key, self._pool = _fork_pool(self.estimator, self.num_workers)
-            self._inflight = threading.BoundedSemaphore(self.num_workers * 2)
-            self._known_worker_pids = {p.pid for p in self._pool._pool}
-        elif get_metrics() is not None:
-            self.metrics.obs_source = get_metrics().snapshot
         self._accepting = True
         self._thread = threading.Thread(
             target=self._run, name="estimation-server", daemon=True
@@ -354,60 +147,6 @@ class EstimationServer:
         self._queue.put(_STOP)
         self._thread.join(timeout)
         self._thread = None
-        if self._pool is not None:
-            # Every queued batch has been dispatched; close-and-join waits
-            # for in-flight results (and their callbacks) to finish.  The
-            # join is bounded: a worker SIGKILLed *while blocked on the
-            # shared task queue* poisons its lock (a multiprocessing.Pool
-            # limitation) and would hang join forever — fall back to
-            # terminate, and fail whatever never settled.
-            self._pool.close()
-            joiner = threading.Thread(target=self._pool.join, daemon=True)
-            joiner.start()
-            joiner.join(timeout)
-            if joiner.is_alive():
-                self._pool.terminate()
-                joiner.join(5.0)
-            # A worker that died mid-batch leaves that batch unsettled
-            # even after join (multiprocessing.Pool drops the task) — fail
-            # its futures rather than strand the clients.
-            self._fail_unsettled("serving worker process died during shutdown")
-            self._pool = None
-            self._inflight = None
-            if self._fork_key is not None:
-                _release_fork_pool(self._fork_key)
-                self._fork_key = None
-        if self._restore_pad_snapshots is not None:
-            self.estimator.publish_pad_snapshots = self._restore_pad_snapshots
-            self._restore_pad_snapshots = None
-        # Retire the registry this server installed (a pre-existing, e.g.
-        # harness-level, one is left alone).  Post-stop snapshots keep
-        # working: metrics.obs_source holds the registry object itself,
-        # only the module-global helper sink is cleared.
-        if self._installed_registry:
-            self._installed_registry = False
-            if get_metrics() is self._obs_registry:
-                uninstall_metrics()
-
-    def worker_pids(self) -> list[int]:
-        """PIDs of the pool's worker processes (empty without a pool) —
-        lets benchmarks attribute per-worker resident memory."""
-        pool = self._pool
-        if pool is None:
-            return []
-        return [p.pid for p in pool._pool]
-
-    def _worker_liveness(self) -> dict:
-        """Pool-worker liveness for metrics snapshots (fork-pool mode)."""
-        pool = self._pool
-        workers = list(pool._pool) if pool is not None else []
-        return {
-            "num_workers": self.num_workers,
-            "pids": [p.pid for p in workers],
-            "alive": sum(1 for p in workers if p.is_alive()),
-            "reaps": self.metrics.worker_reaps,
-            "reaped_batches": self.metrics.reaped_batches,
-        }
 
     def __enter__(self) -> "EstimationServer":
         return self.start()
@@ -456,26 +195,19 @@ class EstimationServer:
     # ------------------------------------------------------------------
     def _run(self) -> None:
         stopping = False
-        # In pool mode — or with a periodic metrics dump configured — the
-        # loop wakes periodically even when idle, so worker deaths are
-        # reaped and dumps stay fresh without request traffic.
-        poll = (
-            0.25
-            if self._pool is not None or self.metrics_json_path is not None
-            else None
-        )
+        # With a periodic metrics dump configured the loop wakes even when
+        # idle, so dumps stay fresh without request traffic.
+        poll = 0.25 if self.metrics_json_path is not None else None
         while not stopping:
             try:
                 head = self._queue.get(timeout=poll)
             except queue.Empty:
-                self._reap_dead_workers()
                 self._maybe_dump_metrics()
                 continue
             if head is _STOP:
                 stopping = True
             else:
                 stopping = self._collect_and_serve(head)
-            self._reap_dead_workers()
             self._maybe_refresh()
             self._maybe_dump_metrics()
         # Serve the backlog accepted before shutdown began.
@@ -527,133 +259,15 @@ class EstimationServer:
         _metric_inc("server.batches")
         _metric_inc("server.requests", len(batch))
         queries = [r.query for r in batch]
-        pool, inflight, fork_key = self._pool, self._inflight, self._fork_key
-        if pool is not None and inflight is not None:
-            inflight.acquire()
-            entry = next(self._dispatch_counter)
-            with self._inflight_lock:
-                self._inflight_batches[entry] = (batch, inflight, started)
-            try:
-                with _span("server.dispatch", size=len(batch)):
-                    pool.apply_async(
-                        _pool_estimate,
-                        (fork_key, queries),
-                        callback=lambda estimates, e=entry: self._settle(e, estimates, None),
-                        error_callback=lambda exc, e=entry: self._settle(e, None, exc),
-                    )
-            except Exception as exc:
-                # stop() can close the pool under a batching thread that
-                # outlived its join timeout — fail the batch instead of
-                # letting the dispatch error kill the thread with the
-                # batch stranded in RUNNING futures.
-                self._settle(entry, None, exc)
-            return
         try:
             with _span("server.batch", size=len(batch)):
                 faults.fire("server.batch.slow")
-                estimates = faults.corrupt(
-                    "server.batch.poison",
-                    self.estimator.estimate_batch(queries),
-                    lambda e: list(e)[:-1],
-                )
+                estimates = self.estimator.estimate_batch(queries)
         except Exception as exc:  # propagate to every waiting client
             self._fail_batch(batch, exc)
             return
         _metric_observe("server.batch_seconds", time.perf_counter() - started)
         self._finish_batch(batch, estimates)
-
-    def _settle(self, entry: int, estimates, exc: Exception | None) -> None:
-        """Resolve one dispatched batch exactly once (callback thread)."""
-        with self._inflight_lock:
-            item = self._inflight_batches.pop(entry, None)
-        if item is None:
-            return  # already reaped after a worker death
-        batch, inflight, dispatched = item
-        inflight.release()
-        if exc is not None:
-            self._fail_batch(batch, exc)
-        else:
-            # Dispatch -> settle covers the pool round trip (queue + IPC +
-            # worker estimate) — the pool-mode twin of the single-process
-            # branch's server.batch_seconds observation, so pool latency
-            # shows up in obs snapshots instead of silently vanishing.
-            _metric_observe("server.batch_seconds", time.perf_counter() - dispatched)
-            self._finish_batch(batch, estimates)
-
-    def _reap_dead_workers(self) -> None:
-        """Fail the in-flight batches of any worker process that died.
-
-        ``multiprocessing.Pool`` silently drops the task a dying worker
-        was executing (and respawns a replacement, which re-finds the
-        estimator through the fork registry) — without this reaper those
-        clients would hang forever and the batch's in-flight permit would
-        leak until the batching thread wedged.  A batch on a *surviving*
-        worker may be failed spuriously here; its late result is then
-        discarded by the settle-once bookkeeping — over-failing is the
-        sound direction.
-        """
-        pool = self._pool  # snapshot: stop() can null the attribute mid-call
-        if pool is None:
-            return
-        workers = list(pool._pool)
-        alive = {p.pid for p in workers if p.is_alive()}
-        died = self._known_worker_pids - alive
-        self._known_worker_pids = {p.pid for p in workers}
-        if not died:
-            return
-        self._fail_unsettled(f"serving worker process died (pid {sorted(died)})")
-        # Each death is a respawn (the pool already forked replacements —
-        # they are in ``workers``).  Rate-limit them: a storm trips the
-        # breaker and degrades to single-process serving.
-        now = time.monotonic()
-        self._respawn_times.extend([now] * len(died))
-        self.metrics.record_respawn(len(died))
-        _metric_inc("server.worker_respawns", len(died))
-        cutoff = now - self.respawn_window_seconds
-        while self._respawn_times and self._respawn_times[0] < cutoff:
-            self._respawn_times.popleft()
-        if len(self._respawn_times) > self.max_respawns:
-            self._trip_breaker(
-                f"{len(self._respawn_times)} worker respawns in "
-                f"{self.respawn_window_seconds:g}s (budget {self.max_respawns})"
-            )
-
-    def _trip_breaker(self, reason: str) -> None:
-        """Degrade to single-process serving after a respawn storm.
-
-        Runs on the batching thread (the only dispatcher), so nulling the
-        pool here cleanly routes every later batch down the inline
-        single-process path — bounds stay correct on the parent's own
-        estimator, only parallelism is lost.  The storming pool is
-        terminated in the background (its join can block on a poisoned
-        task-queue lock, a ``multiprocessing.Pool`` limitation)."""
-        pool = self._pool
-        if pool is None or self.breaker_tripped:
-            return
-        self.breaker_tripped = True
-        self.breaker_reason = reason
-        self.metrics.record_breaker_trip()
-        _metric_inc("server.breaker_trips")
-        self._pool = None
-        self._inflight = None
-        self._known_worker_pids = set()
-        self._fail_unsettled(f"worker pool circuit breaker tripped: {reason}")
-        if self._fork_key is not None:
-            _release_fork_pool(self._fork_key)
-            self._fork_key = None
-        threading.Thread(target=pool.terminate, daemon=True).start()
-        self._log_json("breaker_tripped", reason=reason)
-
-    def _fail_unsettled(self, reason: str) -> None:
-        with self._inflight_lock:
-            lost = list(self._inflight_batches.values())
-            self._inflight_batches.clear()
-        if lost:
-            self.metrics.record_reap(len(lost))
-            _metric_inc("server.worker_reaps")
-        for batch, inflight, _dispatched in lost:
-            inflight.release()
-            self._fail_batch(batch, RuntimeError(reason))
 
     def _finish_batch(self, batch: list[_Request], estimates) -> None:
         # A mismatched estimate count must fail loudly: zip() would
@@ -724,14 +338,6 @@ class EstimationServer:
                 pass
 
     def _maybe_refresh(self) -> None:
-        if self._pool is not None and not hasattr(self.estimator, "refresh_if_stale"):
-            # Without the generation handshake the workers hold a frozen
-            # forked snapshot; a parent-side hot swap would silently
-            # diverge from what the pool serves.  *With* the handshake the
-            # workers re-check the catalog per batch, so the parent's
-            # refresh below keeps its own view (version, staleness,
-            # metrics) in step with what the pool is already serving.
-            return
         refresh = getattr(self.estimator, "refresh", None)
         if refresh is None:
             return
@@ -764,49 +370,32 @@ class EstimationServer:
 
         ``live`` is "the serving loop is running"; ``ready`` adds "and
         accepting requests" (False during drain-and-stop).  ``status`` is
-        ``"ok"``, ``"degraded"`` — still serving, but on a tripped
-        circuit breaker or with ``degraded_after_failures`` consecutive
-        refresh failures (the pinned generation keeps being served, so
-        bounds stay sound while freshness suffers) — or ``"stopped"``.
-        Degraded-by-refresh recovers automatically on the next successful
-        refresh; degraded-by-breaker persists until restart.
+        ``"ok"``, ``"degraded"`` — still serving, but with
+        ``degraded_after_failures`` consecutive refresh failures (the
+        pinned generation keeps being served, so bounds stay sound while
+        freshness suffers) — or ``"stopped"``.  Degraded mode recovers
+        automatically on the next successful refresh.
         """
         live = self.running
         status = "ok" if live else "stopped"
         reason = None
-        if live:
-            if self.breaker_tripped:
-                status = "degraded"
-                reason = f"worker pool breaker tripped: {self.breaker_reason}"
-            elif self._consecutive_refresh_failures >= self.degraded_after_failures:
-                status = "degraded"
-                reason = (
-                    f"catalog refresh failing "
-                    f"({self._consecutive_refresh_failures} consecutive): "
-                    f"{self.last_refresh_error!r}"
-                )
-        health = {
+        if live and self._consecutive_refresh_failures >= self.degraded_after_failures:
+            status = "degraded"
+            reason = (
+                f"catalog refresh failing "
+                f"({self._consecutive_refresh_failures} consecutive): "
+                f"{self.last_refresh_error!r}"
+            )
+        return {
             "status": status,
             "reason": reason,
             "live": live,
             "ready": live and self._accepting,
-            "breaker_tripped": self.breaker_tripped,
             "consecutive_refresh_failures": self._consecutive_refresh_failures,
             "last_refresh_error": (
                 repr(self.last_refresh_error) if self.last_refresh_error else None
             ),
         }
-        # In pool mode the workers swallow their own refresh failures
-        # (refresh_if_stale records, never raises) — their error count
-        # reaches the parent through the fork-shared registry.
-        registry = self._obs_registry
-        if registry is not None:
-            try:
-                errors = registry.snapshot().get("server.worker_refresh_errors", 0)
-            except Exception:
-                errors = 0
-            health["worker_refresh_errors"] = int(errors)
-        return health
 
 
 def generate_load(

@@ -135,27 +135,23 @@ def test_duplicate_queries_dedupe_to_same_bounds(workload_pairs):
 @pytest.mark.parametrize(
     "name", ["STATS-CEB", "JOB-Light", "JOB-LightRanges", "TPC-H"]
 )
-def test_shared_cache_bit_identical(workload_pairs, name):
-    """The shared conditioned-CDS tier must not change a single bit:
-    bounds are equal cold (populating the shared cache), and warm (the
-    per-process LRU cleared, every conditioning served from the shared
-    tier's packed blobs)."""
+def test_conditioning_cache_cold_and_warm_bit_identical(workload_pairs, name):
+    """The conditioning LRU must not change a single bit: bounds are
+    equal cold (every pair conditioned by the batch kernels) and warm
+    (every pair a cache hit, nothing recomputed)."""
     wl, arr, obj = workload_pairs[name]
-    sc = SafeBound(
-        SafeBoundConfig(eval_kernel="array", shared_conditioning_cache_bytes=8 << 20)
-    )
+    sc = SafeBound(SafeBoundConfig(eval_kernel="array"))
     sc.stats = arr.stats
     sc._engine.array_min_work = 0
     sc._engine.array_min_condition = 0
     expected = obj.estimate_batch(wl.queries)
-    assert sc.estimate_batch(wl.queries) == expected  # cold: fills shared
-    sc._conditioning_cache.clear()
-    assert sc.estimate_batch(wl.queries) == expected  # warm: reads shared
-    stats = sc._shared_conditioning.stats()
-    assert stats["insertions"] > 0 and stats["hits"] > 0
-    counters = sc.conditioning_cache_stats()
-    assert counters["shared"]["stored_bytes"] > 0
-    assert counters["local"]["misses"] > 0
+    assert sc.estimate_batch(wl.queries) == expected  # cold: fills the LRU
+    cold = sc.conditioning_cache_stats()
+    assert cold["misses"] > 0
+    assert sc.estimate_batch(wl.queries) == expected  # warm: LRU hits only
+    warm = sc.conditioning_cache_stats()
+    assert warm["misses"] == cold["misses"]
+    assert warm["hits"] > cold["hits"]
 
 
 def test_eval_kernel_validation():

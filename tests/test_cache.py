@@ -1,23 +1,13 @@
 """Cache-layer tests: the in-process LRU (bounded size, recency
-eviction, counters, thread safety, single-flight ``get_or_compute``)
-and the fork-shared conditioned-CDS blob cache."""
+eviction, counters, thread safety, single-flight ``get_or_compute``)."""
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 
 import pytest
 
-from repro.core.cache import LRUCache, SharedConditionedCache
-
-
-def _has_fork() -> bool:
-    try:
-        multiprocessing.get_context("fork")
-    except ValueError:
-        return False
-    return True
+from repro.core.cache import LRUCache
 
 
 class TestLRUCache:
@@ -176,88 +166,3 @@ class TestGetOrCompute:
     @staticmethod
     def _boom():
         raise RuntimeError("compute failed")
-
-
-class TestSharedConditionedCache:
-    def test_roundtrip_and_counters(self):
-        cache = SharedConditionedCache(1 << 20, slots=64)
-        digest = b"\x01" * 16
-        assert cache.get(digest) is None
-        assert cache.put(digest, b"payload")
-        assert cache.get(digest) == b"payload"
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["insertions"] == 1 and stats["entries"] == 1
-        assert stats["stored_bytes"] == len(b"payload")
-        # Same-process reads are plain hits, not sibling hits.
-        assert stats["sibling_hits"] == 0
-
-    def test_put_is_idempotent(self):
-        cache = SharedConditionedCache(1 << 20, slots=64)
-        digest = b"\x02" * 16
-        assert cache.put(digest, b"x" * 100)
-        assert cache.put(digest, b"x" * 100)
-        stats = cache.stats()
-        assert stats["insertions"] == 1
-        assert stats["stored_bytes"] == 100
-
-    def test_flush_all_eviction_under_data_pressure(self):
-        cache = SharedConditionedCache(64 << 10, slots=64)
-        blob = b"y" * 8000
-        for i in range(20):  # 160 KB of blobs through a ~50 KB data region
-            assert cache.put(i.to_bytes(16, "little"), blob)
-        stats = cache.stats()
-        assert stats["flushes"] >= 1
-        assert stats["insertions"] == 20
-        assert stats["data_bytes_used"] <= stats["capacity_bytes"]
-        # The most recent insert survived the last flush.
-        assert cache.get((19).to_bytes(16, "little")) == blob
-
-    def test_oversized_blob_rejected(self):
-        cache = SharedConditionedCache(32 << 10, slots=16)
-        assert not cache.put(b"\x03" * 16, b"z" * (1 << 20))
-        assert cache.stats()["insertions"] == 0
-
-    def test_generation_bump_flushes(self):
-        cache = SharedConditionedCache(1 << 20, slots=64)
-        cache.put(b"\x04" * 16, b"old")
-        gen = cache.generation
-        assert cache.bump_generation() == gen + 1
-        assert cache.get(b"\x04" * 16) is None
-        assert cache.stats()["entries"] == 0
-
-    def test_rejects_degenerate_sizes(self):
-        with pytest.raises(ValueError):
-            SharedConditionedCache(100, slots=4096)  # index alone exceeds it
-        with pytest.raises(ValueError):
-            SharedConditionedCache(1 << 20, slots=0)
-
-    def test_not_picklable(self):
-        import pickle
-
-        cache = SharedConditionedCache(1 << 20, slots=64)
-        with pytest.raises(Exception):
-            pickle.dumps(cache)
-
-    @pytest.mark.skipif(not _has_fork(), reason="fork start method unavailable")
-    def test_fork_child_insert_is_parent_sibling_hit(self):
-        """The whole point of the cache: a forked process' insert must be
-        visible to the parent (and count as a *sibling* hit — different
-        writer pid)."""
-        ctx = multiprocessing.get_context("fork")
-        cache = SharedConditionedCache(1 << 20, slots=64)
-        digest = b"\x05" * 16
-        queue = ctx.SimpleQueue()
-
-        def child() -> None:
-            queue.put(cache.put(digest, b"from-child"))
-
-        proc = ctx.Process(target=child)
-        proc.start()
-        assert queue.get() is True
-        proc.join(10.0)
-        assert proc.exitcode == 0
-        assert cache.get(digest) == b"from-child"
-        stats = cache.stats()
-        assert stats["sibling_hits"] == 1
-        assert stats["insertions"] == 1

@@ -338,7 +338,7 @@ class TestCatalogBackedSafeBound:
 
 
 class TestGenerationStamp:
-    """The cross-process hot-swap handshake state (GENERATION file)."""
+    """The published-generation stamp (GENERATION file)."""
 
     def test_publish_writes_generation_stamp(self, built, tmp_path):
         catalog = StatsCatalog(tmp_path)
@@ -360,29 +360,3 @@ class TestGenerationStamp:
         assert catalog.generation("db1") == 2
         stamp.write_text("not a number")
         assert catalog.generation("db1") == 2
-
-    def test_refresh_if_stale_swaps_only_on_mismatch(self, tiny_db, built, tmp_path):
-        catalog = StatsCatalog(tmp_path)
-        estimator = CatalogBackedSafeBound(catalog, "tiny")
-        estimator.build(tiny_db)
-        assert estimator.generation() == 1
-        assert estimator.refresh_if_stale() is False  # current: no reload
-        catalog.publish("tiny", built.stats, note="rebuild")
-        assert estimator.refresh_if_stale() is True
-        assert estimator.version == 2
-        assert estimator.refresh_if_stale() is False
-
-    def test_refresh_if_stale_swallows_catalog_errors(self, tiny_db, tmp_path):
-        """A transient catalog failure must degrade to serving the
-        current version, never raise into the batch path."""
-        catalog = StatsCatalog(tmp_path)
-        estimator = CatalogBackedSafeBound(catalog, "tiny")
-        estimator.build(tiny_db)
-
-        def boom():
-            raise OSError("catalog unreachable")
-
-        estimator.generation = boom
-        assert estimator.refresh_if_stale() is False
-        assert isinstance(estimator.last_refresh_error, OSError)
-        assert estimator.version == 1

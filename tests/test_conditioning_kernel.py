@@ -1,10 +1,10 @@
 """Batched conditioning differential + property tests.
 
 The arena-native conditioning pipeline (expression trees, CSE'd batched
-evaluation, ``batch_truncate_total``, the packed wire format and the
-fork-shared blob cache) carries the same bit-identity contract as the
-bound kernels: every batched result must equal the per-object
-``ConditionedRelation`` path element for element.  Three layers:
+evaluation, ``batch_truncate_total``) carries the same bit-identity
+contract as the bound kernels: every batched result must equal the
+per-object ``ConditionedRelation`` path element for element.  Two
+layers:
 
 * op-level hypothesis differential: ``batch_truncate_total`` against
   ``PiecewiseLinear.truncate_total`` across all three cut classes, and
@@ -13,15 +13,14 @@ bound kernels: every batched result must equal the per-object
   interning is on the tested path);
 * relation-level differential on the tiny star schema: every predicate
   shape through ``condition_relations_batch`` + ``fill_truncations_batch``
-  versus the object constructor, plus a pack/unpack roundtrip;
-* end-to-end: estimates with the shared conditioned-CDS cache cold, warm
-  and cross-process (a forked child serving from blobs the parent wrote)
-  all equal the object kernel's bounds.
+  versus the object constructor.
+
+End-to-end estimate identity (cold and warm conditioning cache, server
+path) lives in ``test_array_kernel.py``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -36,13 +35,9 @@ from repro.core.conditioning import (
     evaluate_expr,
     evaluate_exprs_array,
     fill_truncations_batch,
-    pack_conditioned,
-    unpack_conditioned,
 )
 from repro.core.predicates import And, Eq, InList, Like, Or, Range
 from repro.core.safebound import SafeBound, SafeBoundConfig
-from repro.service.server import EstimationServer
-from repro.workloads import make_job_light
 
 
 def exact_pl_equal(a: pw.PiecewiseLinear, b: pw.PiecewiseLinear) -> None:
@@ -189,128 +184,3 @@ def test_fill_truncations_batch_differential(tiny_stats):
     for got, expected in zip(batched, objected):
         for col in (*expected._conditioned, "undeclared_col"):
             exact_pl_equal(expected.cds_for(col), got.cds_for(col))
-
-
-def test_pack_unpack_roundtrip(tiny_stats):
-    rel = next(iter(tiny_stats.relations.values()))
-    original = ConditionedRelation(rel, Range("year", low=1960, high=1990))
-    restored = unpack_conditioned(rel, pack_conditioned(original))
-    assert restored.single_table == original.single_table
-    assert list(restored._conditioned) == list(original._conditioned)
-    for jcol in original._conditioned:
-        exact_pl_equal(original._conditioned[jcol], restored._conditioned[jcol])
-    # Truncations are recomputed on the reader side, not shipped.
-    assert restored._bound_cds == {}
-    for col in (*original._conditioned, "undeclared_col"):
-        exact_pl_equal(original.cds_for(col), restored.cds_for(col))
-
-
-def test_unpack_rejects_corrupt_blob(tiny_stats):
-    rel = next(iter(tiny_stats.relations.values()))
-    with pytest.raises(ValueError):
-        unpack_conditioned(rel, b"not-a-blob")
-
-
-# ----------------------------------------------------------------------
-# End to end: shared cache cold/warm, arena-backed stats, server path,
-# and a forked child hitting parent-written entries
-# ----------------------------------------------------------------------
-def _shared_estimator(stats) -> SafeBound:
-    sc = SafeBound(
-        SafeBoundConfig(eval_kernel="array", shared_conditioning_cache_bytes=4 << 20)
-    )
-    sc.stats = stats
-    sc._engine.array_min_work = 0
-    sc._engine.array_min_condition = 0
-    return sc
-
-
-@pytest.fixture(scope="module")
-def jl_workload(small_imdb):
-    return make_job_light(db=small_imdb, num_queries=12, seed=3)
-
-
-@pytest.fixture(scope="module")
-def jl_object_bounds(jl_workload):
-    obj = SafeBound(SafeBoundConfig(eval_kernel="object"))
-    obj.build(jl_workload.db)
-    return obj, obj.estimate_batch(jl_workload.queries)
-
-
-def test_shared_cache_cold_and_warm_bit_identical(jl_workload, jl_object_bounds):
-    obj, expected = jl_object_bounds
-    sc = _shared_estimator(obj.stats)
-    assert sc.estimate_batch(jl_workload.queries) == expected
-    sc._conditioning_cache.clear()  # force the warm path through unpack
-    assert sc.estimate_batch(jl_workload.queries) == expected
-    stats = sc._shared_conditioning.stats()
-    assert stats["insertions"] > 0 and stats["hits"] > 0
-
-
-def test_shared_cache_arena_backed_stats(tmp_path, jl_workload, jl_object_bounds):
-    from repro.core.serialization import load_stats, save_stats
-
-    obj, expected = jl_object_bounds
-    path = tmp_path / "stats.sbarena"
-    save_stats(obj.stats, str(path), stats_format="arena")
-    sc = _shared_estimator(load_stats(str(path)))
-    assert sc.estimate_batch(jl_workload.queries) == expected
-    sc._conditioning_cache.clear()
-    assert sc.estimate_batch(jl_workload.queries) == expected
-
-
-def test_shared_cache_server_path(jl_workload, jl_object_bounds):
-    obj, expected = jl_object_bounds
-    sc = _shared_estimator(obj.stats)
-    with EstimationServer(sc, max_batch=8, max_wait_ms=1.0) as server:
-        futures = [server.submit(q) for q in jl_workload.queries]
-        served = [f.result(30.0) for f in futures]
-        snapshot = server.metrics.snapshot()
-    assert served == expected
-    cache = snapshot["conditioning_cache"]
-    assert cache["shared"]["insertions"] > 0
-    assert cache["local"]["misses"] > 0
-
-
-def _has_fork() -> bool:
-    try:
-        multiprocessing.get_context("fork")
-    except ValueError:
-        return False
-    return True
-
-
-@pytest.mark.skipif(not _has_fork(), reason="fork start method unavailable")
-def test_forked_child_serves_from_parent_blobs(jl_workload, jl_object_bounds):
-    """Parent conditions every query into the shared tier; a forked child
-    with an empty local LRU must produce identical bounds while scoring
-    sibling hits (entries written by a different pid)."""
-    obj, expected = jl_object_bounds
-    sc = _shared_estimator(obj.stats)
-    assert sc.estimate_batch(jl_workload.queries) == expected  # parent fills
-    ctx = multiprocessing.get_context("fork")
-    queue = ctx.SimpleQueue()
-
-    def child() -> None:
-        sc._conditioning_cache.clear()
-        bounds = sc.estimate_batch(jl_workload.queries)
-        queue.put((bounds, sc._shared_conditioning.stats()["sibling_hits"]))
-
-    proc = ctx.Process(target=child)
-    proc.start()
-    bounds, sibling_hits = queue.get()
-    proc.join(30.0)
-    assert proc.exitcode == 0
-    assert bounds == expected
-    assert sibling_hits > 0
-
-
-def test_generation_bump_invalidates_shared_entries(jl_workload, jl_object_bounds):
-    obj, expected = jl_object_bounds
-    sc = _shared_estimator(obj.stats)
-    sc.estimate_batch(jl_workload.queries)
-    before = sc._shared_conditioning.stats()["entries"]
-    assert before > 0
-    sc._invalidate_conditioning()
-    assert sc._shared_conditioning.stats()["entries"] == 0
-    assert sc.estimate_batch(jl_workload.queries) == expected

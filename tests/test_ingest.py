@@ -254,6 +254,36 @@ class TestRepublish:
         # Below threshold now: no further republish.
         assert ingest.maybe_republish() is None
 
+    def test_refresh_skips_version_built_before_a_padded_insert(self, tmp_path):
+        """Regression: a version built before an insert (a republish that
+        published but failed to swap, or one fsck recovered after a torn
+        manifest) used to be swapped in by the server's refresh poll after
+        that insert was padded into the served statistics — dropping the
+        padding while the rows stayed visible, so bounds underestimated."""
+        db = make_db()
+        catalog, estimator = self._catalog_pair(tmp_path, db)
+        ingest = UpdateIngest(db, estimator, republish_overhead=1e9)
+        stale = SafeBound(estimator.config)
+        stale.build(db)
+        stale_metadata = estimator.build_metadata()
+        rng = np.random.default_rng(13)
+        n = 2500  # doubles the fact table
+        ingest.insert("fact", {
+            "id": np.arange(700000, 700000 + n),
+            "dim_id": rng.integers(0, 150, n),
+            "score": rng.integers(0, 30, n),
+        })
+        catalog.publish("live", stale.stats, metadata=stale_metadata)
+        full_join = make_queries()[0]
+        assert stale.bound(full_join) < Executor(db).cardinality(full_join)
+        assert estimator.refresh(db) is False
+        assert estimator.version == 1
+        assert_bounds_dominate(estimator, db, make_queries())
+        # The next republish supersedes the stale version.
+        assert ingest.republish().version == 3
+        assert estimator.version == 3
+        assert_bounds_dominate(estimator, db, make_queries())
+
     def test_republish_requires_catalog_backed_estimator(self):
         db = make_db()
         sb = SafeBound(SafeBoundConfig(track_updates=True))
@@ -288,60 +318,16 @@ class TestRepublish:
         assert estimator.version == worker.published[-1].version
         assert_bounds_dominate(estimator, db, make_queries())
 
-    def test_insert_publishes_pad_snapshot_when_enabled(self, tmp_path):
-        """``publish_pad_snapshots``: every insert publishes the freshly
-        padded statistics as a catalog version *before* the rows become
-        visible, so a cross-process reader can never pair pre-insert
-        statistics with the enlarged database (this is what the fork-pool
-        server turns on at start)."""
-        db = make_db()
-        catalog, estimator = self._catalog_pair(tmp_path, db)
-        estimator.publish_pad_snapshots = True
-        # A threshold no single insert reaches: the republish path must
-        # not be what repairs the cold reader's bounds below.
-        ingest = UpdateIngest(db, estimator, republish_overhead=1e9)
-        rng = np.random.default_rng(21)
-        n = 2500  # doubles the fact table
-        ingest.insert("fact", {
-            "id": np.arange(600000, 600000 + n),
-            "dim_id": rng.integers(0, 150, n),
-            "score": rng.integers(0, 30, n),
-        })
-        assert ingest.republishes == 0
-        assert estimator.snapshot_publishes == 1
-        assert estimator.version == 2  # adopted in place, no reload
-        assert catalog.generation("live") == 2
-        # Version 1 genuinely underestimates the enlarged database — the
-        # window the snapshot closes is real, not hypothetical.
-        full_join = make_queries()[0]
-        stale = SafeBound()
-        stale.stats = catalog.load("live", version=1)
-        assert stale.bound(full_join) < Executor(db).cardinality(full_join)
-        # A cold reader of the snapshot (what a fork worker re-opens on
-        # the generation bump) dominates the enlarged database: the
-        # padding counters survive the save/load round trip.
-        reader = CatalogBackedSafeBound(catalog, "live")
-        reader.refresh()
-        assert reader.version == 2
-        assert_bounds_dominate(reader, db, make_queries())
-        # The snapshot publishes the padding, it does not tighten it —
-        # staleness still reflects the insert, so the recompress-and-
-        # republish cycle fires later exactly as before.
-        assert estimator.staleness() > 0.0
-
     def test_deletes_publish_no_snapshot(self, tmp_path):
-        """Deletes shrink counters only after the rows are gone, so a
-        cross-process reader on the old version merely over-counts —
-        no snapshot version is needed (or published)."""
+        """Deletes shrink counters only after the rows are gone, so the
+        served statistics stay sound in place — nothing is published."""
         db = make_db()
         catalog, estimator = self._catalog_pair(tmp_path, db)
-        estimator.publish_pad_snapshots = True
         ingest = UpdateIngest(db, estimator, republish_overhead=1e9)
         rng = np.random.default_rng(7)
         ingest.delete(
             "fact", rng.choice(db.table("fact").num_rows, 200, replace=False)
         )
-        assert estimator.snapshot_publishes == 0
         assert catalog.generation("live") == 1
         assert_bounds_dominate(estimator, db, make_queries())
 

@@ -2,10 +2,11 @@
 
 Covers the wire codec (bit-identical bounds through a JSON round trip),
 the socket front end (concurrent clients, typed overload responses,
-malformed-frame resilience, health/metrics verbs), the multi-process
-load generator, and the cross-process hot-swap acceptance path: a
-catalog publish under load with ``num_workers=2`` propagates to every
-worker with zero failed or dropped requests.
+malformed-frame resilience, health/metrics verbs, prompt stop), the
+multi-process load generator, and the hot-swap acceptance path: a
+catalog publish under load from client processes is served from the new
+version with zero failed or dropped requests, and an insert is padded
+into the served statistics before any republish.
 """
 
 from __future__ import annotations
@@ -237,7 +238,6 @@ class TestNetServer:
         with NetClient(*net.address) as client:
             health = client.health()
             assert health["status"] == "ok"
-            assert health["num_workers"] == 0
             assert isinstance(health["pid"], int)
             metrics = client.metrics()
             assert metrics["accepted"] >= 1
@@ -328,6 +328,16 @@ class TestNetServer:
                         t.join(10.0)
                     occupant.close()
                     filler.close()
+
+    def test_idle_stop_returns_promptly(self, built):
+        """Regression: stop() only closed the listener, which does not
+        wake a blocked accept() on Linux, so every stop waited out the
+        accept thread's 5 s join."""
+        with EstimationServer(built) as server:
+            net = NetServer(server).start()
+            started = time.monotonic()
+            net.stop()
+            assert time.monotonic() - started < 1.0
 
     def test_stop_closes_live_connections(self, built):
         """Asserting that a *new* connection is refused after stop would
@@ -453,7 +463,8 @@ def _star_queries() -> list[Query]:
 
 
 class TestCrossProcessHotSwap:
-    """The acceptance path: catalog publish under multi-process load."""
+    """The acceptance path: catalog publish under load from client
+    processes."""
 
     def test_publish_under_load_propagates_with_zero_failures(self, tmp_path):
         db = _make_mutable_db()
@@ -465,7 +476,7 @@ class TestCrossProcessHotSwap:
         queries = _star_queries()
         v1 = [estimator.bound(q) for q in queries]
 
-        server = EstimationServer(estimator, num_workers=2, max_batch=4)
+        server = EstimationServer(estimator, max_batch=4)
         with server, NetServer(server) as net:
             ingest = UpdateIngest(db, estimator)
             # Load from two separate client processes, long enough to
@@ -487,16 +498,13 @@ class TestCrossProcessHotSwap:
                 "score": rng.integers(0, 30, n),
             })
             version = ingest.republish()
-            # v2 is the insert's pad snapshot (the pool server flips
-            # publish_pad_snapshots at start); the republish is v3.
-            assert version.version == 3
-            assert catalog.generation("live") == 3
+            assert version.version == 2
+            assert catalog.generation("live") == 2
 
             # Any request submitted after republish() returned must be
-            # served on the new version: the generation stamp is written
-            # before publish returns and every worker re-checks it at
-            # batch start.  Drive the post-swap requests through fresh
-            # client processes so both the codec and the pool are covered.
+            # served on the new version: republish swaps the served
+            # estimator before it returns.  Drive the post-swap requests
+            # through fresh client processes so the codec is covered.
             post = generate_load_net(
                 *net.address, queries, 60, processes=2, concurrency=2,
             )
@@ -505,7 +513,7 @@ class TestCrossProcessHotSwap:
 
             v2_direct = CatalogBackedSafeBound(catalog, "live")
             v2_direct.refresh()
-            assert v2_direct.version == 3
+            assert v2_direct.version == 2
             expected = [v2_direct.bound(q) for q in queries]
             assert expected != v1  # the republish actually changed bounds
 
@@ -521,20 +529,11 @@ class TestCrossProcessHotSwap:
             assert load_report["completed"] == 600
             assert server.metrics.failed == 0
 
-            snapshot = server.metrics.snapshot()
-            obs = snapshot.get("observability") or {}
-            assert obs.get("server.worker_swaps", 0) >= 1
-            assert snapshot["workers"]["num_workers"] == 2
-
-    def test_pool_insert_is_padded_before_republish(self, tmp_path):
-        """Regression: ``apply_insert`` pads only the parent's in-memory
-        statistics; fork workers used to keep their forked, unpadded copy
-        until the next staleness-triggered republish — a window in which
-        worker-served bounds could underestimate the enlarged database.
-        The pool server now flips ``publish_pad_snapshots`` at start, so
-        the insert publishes its padding as a catalog version before the
-        rows become visible and the generation handshake carries it to
-        every worker — no republish required."""
+    def test_insert_is_padded_before_republish(self, tmp_path):
+        """An insert pads the served statistics in place before its rows
+        become visible, so every bound served after it dominates the
+        enlarged database — no republish (and no new catalog version)
+        required."""
         db = _make_mutable_db()
         catalog = StatsCatalog(tmp_path)
         estimator = CatalogBackedSafeBound(
@@ -542,10 +541,9 @@ class TestCrossProcessHotSwap:
         )
         estimator.build(db)
         full_join = _star_queries()[0]
-        with EstimationServer(estimator, num_workers=2, max_batch=4) as server:
-            assert estimator.publish_pad_snapshots
+        with EstimationServer(estimator, max_batch=4) as server:
             # A threshold no insert reaches: the republish path must not
-            # be what repairs the workers' bounds.
+            # be what repairs the served bounds.
             ingest = UpdateIngest(db, estimator, republish_overhead=1e9)
             rng = np.random.default_rng(23)
             n = 3000  # triples the fact table
@@ -555,20 +553,15 @@ class TestCrossProcessHotSwap:
                 "score": rng.integers(0, 30, n),
             })
             assert ingest.republishes == 0
-            assert estimator.snapshot_publishes == 1
-            assert catalog.generation("live") == 2  # the pad snapshot
+            assert catalog.generation("live") == 1  # nothing published
             true = Executor(db).cardinality(full_join)
             # The pre-insert version genuinely underestimates the
             # enlarged database — the closed window is real.
             stale = SafeBound()
             stale.stats = catalog.load("live", version=1)
             assert stale.bound(full_join) < true
-            # Every post-insert request is dispatched to a pool worker,
-            # which re-opens on the generation bump and must dominate.
             for _ in range(6):
                 assert server.bound(full_join) >= true * (1 - 1e-9)
-        # stop() restores the switch for whoever serves next.
-        assert estimator.publish_pad_snapshots is False
 
     def test_health_reports_version_and_generation(self, tmp_path):
         db = _make_mutable_db()

@@ -186,26 +186,37 @@ class TestAdmissionControl:
             assert server.metrics.failed == 1
 
     def test_mismatched_estimate_count_fails_batch_loudly(self, built):
-        """Regression: an estimator returning fewer estimates than
-        queries used to zip-truncate — the unpaired futures hung until
-        client timeout and ``completed`` over-counted."""
+        """The count guard: an estimator returning one estimate too few
+        must fail every future of the batch with a typed RuntimeError —
+        zip() would silently truncate, leaving the unpaired future hung
+        until client timeout and ``completed`` over-counted — and the
+        server must keep serving the next batch."""
 
         class _TruncatingEstimator:
             def __init__(self, inner) -> None:
                 self.inner = inner
+                self.short = True
 
             def estimate_batch(self, queries):
-                return self.inner.estimate_batch(queries)[:-1]
+                estimates = self.inner.estimate_batch(queries)
+                return estimates[:-1] if self.short else estimates
 
-        with EstimationServer(_TruncatingEstimator(built)) as server:
-            future = server.submit(_queries()[0])
-            with pytest.raises(RuntimeError, match="truncated batch"):
-                future.result(timeout=5.0)
+        stub = _TruncatingEstimator(built)
+        queries = _queries()
+        with EstimationServer(stub, max_batch=len(queries), max_wait_ms=50.0) as server:
+            futures = [server.submit(q) for q in queries]
+            for future in futures:
+                with pytest.raises(RuntimeError, match="truncated batch"):
+                    future.result(timeout=5.0)
+            # _fail_batch resolves the futures before it counts them.
             deadline = time.monotonic() + 2.0
-            while server.metrics.failed < 1 and time.monotonic() < deadline:
+            while server.metrics.failed < len(queries) and time.monotonic() < deadline:
                 time.sleep(0.001)
-            assert server.metrics.failed == 1
+            assert server.metrics.failed == len(queries)
             assert server.metrics.completed == 0
+            stub.short = False
+            assert server.bound(queries[0], timeout=5.0) == built.bound(queries[0])
+        assert server.metrics.completed == 1
 
     def test_generate_load_survives_failing_requests(self):
         """Regression: a failed future used to kill its client thread,
@@ -292,145 +303,3 @@ class TestMetrics:
         assert metrics.accepted == 8000
         assert metrics.batches == 8000
         assert metrics.batched_requests == 16000
-
-
-class TestMultiProcess:
-    """Fork-pool serving mode (``num_workers > 1``)."""
-
-    @pytest.fixture(scope="class")
-    def arena_estimator(self, built, tiny_db, tmp_path_factory):
-        """An estimator serving mmap-backed (arena) statistics — what the
-        forked workers are meant to inherit."""
-        path = str(tmp_path_factory.mktemp("mp") / "stats.sba")
-        built.save(path, stats_format="arena")
-        return SafeBound.load(path)
-
-    def test_results_bit_identical_to_direct_bound(self, built, arena_estimator):
-        queries = _queries()
-        direct = [built.bound(q) for q in queries]
-        with EstimationServer(arena_estimator, num_workers=2, max_batch=8) as server:
-            report = generate_load(server, queries, num_requests=60, concurrency=6)
-        assert report["errors"] == {}
-        for i, result in enumerate(report["results"]):
-            assert result == direct[i % len(queries)]
-        assert report["metrics"]["completed"] == 60
-
-    def test_workers_are_separate_processes(self, arena_estimator):
-        import os
-
-        with EstimationServer(arena_estimator, num_workers=2) as server:
-            pids = server.worker_pids()
-            assert len(pids) == 2
-            assert os.getpid() not in pids
-            server.bound(_queries()[0])
-        assert server.worker_pids() == []  # pool torn down on stop
-
-    def test_failed_batch_propagates_from_workers(self):
-        with EstimationServer(_FailingEstimator(), num_workers=2) as server:
-            future = server.submit(_queries()[0])
-            with pytest.raises(Exception):
-                future.result(timeout=30.0)
-        assert server.metrics.failed >= 1
-
-    def test_stop_serves_backlog_through_pool(self, arena_estimator):
-        queries = _queries()
-        server = EstimationServer(arena_estimator, num_workers=2, max_batch=4).start()
-        futures = [server.submit(queries[i % len(queries)]) for i in range(20)]
-        server.stop()
-        direct = [arena_estimator.bound(queries[i % len(queries)]) for i in range(20)]
-        assert [f.result(timeout=1.0) for f in futures] == direct
-
-    def test_refresh_disabled_in_pool_mode(self, built):
-        """An estimator *without* the ``refresh_if_stale`` handshake keeps
-        the frozen-snapshot semantics: the parent never polls refresh()
-        on it, because a parent-side swap could not reach the forked
-        workers and would silently diverge from what they serve."""
-        estimator = _SwappableEstimator(built)
-        with EstimationServer(
-            estimator, num_workers=2, refresh_seconds=0.0
-        ) as server:
-            for _ in range(3):
-                server.bound(_queries()[0])
-        assert estimator.refreshes == 0
-        assert server.metrics.swaps == 0
-
-    def test_stop_retires_installed_registry(self, arena_estimator):
-        """Regression: pool-mode start() installed a process-global
-        metrics registry and never uninstalled it — global state leaking
-        past stop() into unrelated code (and tests).  A pre-existing
-        registry must survive, though."""
-        from repro.obs.metrics import (
-            MetricsRegistry,
-            get_metrics,
-            install_metrics,
-            uninstall_metrics,
-        )
-
-        assert get_metrics() is None
-        with EstimationServer(arena_estimator, num_workers=2) as server:
-            assert get_metrics() is not None
-            server.bound(_queries()[0])
-        assert get_metrics() is None
-        # Post-stop snapshots still aggregate the retired registry.
-        obs = server.metrics.snapshot().get("observability") or {}
-        assert obs.get("server.requests", 0) >= 1
-
-        outer = install_metrics(MetricsRegistry(shared=True))
-        try:
-            with EstimationServer(arena_estimator, num_workers=2) as server:
-                server.bound(_queries()[0])
-            assert get_metrics() is outer  # not ours to retire
-        finally:
-            uninstall_metrics()
-
-    def test_pool_mode_observes_batch_seconds(self, arena_estimator):
-        """Regression: ``server.batch_seconds`` was only observed on the
-        in-thread path, so fork-pool serving produced obs snapshots with
-        batch counters but no latency histogram at all."""
-        queries = _queries()
-        with EstimationServer(arena_estimator, num_workers=2, max_batch=4) as server:
-            report = generate_load(server, queries, num_requests=24, concurrency=4)
-            assert report["errors"] == {}
-            snapshot = server.metrics.snapshot()
-        obs = snapshot.get("observability") or {}
-        hist = obs.get("server.batch_seconds")
-        assert isinstance(hist, dict)
-        assert hist["count"] >= 1
-        assert hist["sum"] > 0.0
-        assert hist["count"] <= obs["server.batches"]
-
-    def test_worker_death_fails_inflight_and_pool_recovers(self, built):
-        """Regression: a killed worker process used to (a) strand its
-        in-flight batch's futures forever and leak an in-flight permit,
-        and (b) leave its respawned replacement without an estimator
-        (the fork registry entry was dropped right after pool creation),
-        failing every later batch.  Now the reaper fails lost batches
-        promptly and the replacement worker keeps serving."""
-        import os
-        import signal
-
-        slow = _SlowEstimator(built, delay=1.5)
-        # max_batch=1: two submissions -> one in-flight batch per worker,
-        # so both workers are *executing* (not blocked on the shared task
-        # queue, whose lock a SIGKILL would poison — the one Pool wedge
-        # this server cannot recover from) when the kill lands.
-        with EstimationServer(slow, num_workers=2, max_batch=1) as server:
-            victim_pids = server.worker_pids()
-            futures = [server.submit(q) for q in _queries()[:2]]
-            time.sleep(0.6)  # both batches dispatched and sleeping in workers
-            for pid in victim_pids:
-                os.kill(pid, signal.SIGKILL)
-            for future in futures:
-                with pytest.raises(RuntimeError, match="worker process died"):
-                    future.result(timeout=15.0)
-            # Respawned workers inherit the estimator via the registry
-            # that now outlives pool creation — serving continues.
-            deadline = time.monotonic() + 15.0
-            result = None
-            while time.monotonic() < deadline:
-                try:
-                    result = server.bound(_queries()[0], timeout=15.0)
-                    break
-                except Exception:
-                    time.sleep(0.2)
-            assert result == built.bound(_queries()[0])
