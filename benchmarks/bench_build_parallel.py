@@ -8,14 +8,14 @@ Two things are measured and snapshotted into ``BENCH_build.json``:
   whose serialized digest equals the serial build's (the tentpole
   guarantee, asserted unconditionally);
 * **build-time speedup** — at the default configuration the 4-worker
-  build must be at least 2x faster than the serial build.  The speedup has
-  two sources: real multi-core parallelism across shard-extraction and
-  per-join-column finalize tasks, and the pipeline's deduplicated merge
-  representation, which factorises each filter column once (the serial
-  path repeats that work per join column) and extracts 3-grams per
-  *distinct* string instead of per row.  The second source is why the
-  threshold holds even on single-CPU machines — the snapshot records the
-  CPU count so readers can tell how much parallelism contributed.
+  build must be at least 2x faster than the serial build.  The serial
+  build shares per-filter-column work across join columns and extracts
+  3-grams per *distinct* string, as the parallel pipeline does, so the
+  speedup is what multi-core parallelism across shard-extraction and
+  per-join-column finalize tasks adds; the snapshot records the CPU count
+  so readers can tell how many cores there were to add.  The snapshot is
+  written before the floor is asserted, so a run under the floor still
+  records what it measured.
 
 ``REPRO_BENCH_BUILD_SF`` scales the dataset (default 0.2); the committed
 snapshot is only refreshed at the default configuration.
@@ -96,11 +96,6 @@ def test_parallel_build_speedup_and_identity(scalability_db, show):
     )
 
     if DEFAULT_CONFIG:
-        headline = next(r for r in rows if (r["workers"], r["pool"]) == (4, "thread"))
-        assert headline["speedup"] >= SPEEDUP_FLOOR, (
-            f"4-worker build speedup {headline['speedup']}x under the "
-            f"{SPEEDUP_FLOOR}x floor (serial {serial_seconds:.2f}s)"
-        )
         payload = {
             "bench": "build_parallel",
             "dataset": f"tpch(sf={SCALE_FACTOR})",
@@ -112,6 +107,11 @@ def test_parallel_build_speedup_and_identity(scalability_db, show):
         }
         BUILD_SNAPSHOT_PATH.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
+        headline = next(r for r in rows if (r["workers"], r["pool"]) == (4, "thread"))
+        assert headline["speedup"] >= SPEEDUP_FLOOR, (
+            f"4-worker build speedup {headline['speedup']}x under the "
+            f"{SPEEDUP_FLOOR}x floor (serial {serial_seconds:.2f}s)"
         )
     else:
         print(

@@ -22,6 +22,7 @@ from .piecewise import PiecewiseLinear, concave_max
 __all__ = [
     "self_join_distance",
     "pairwise_sj_distance_matrix",
+    "distinct_members",
     "cluster_cds",
     "group_maxima",
 ]
@@ -129,30 +130,42 @@ def _sj_of_max_rows(
     return np.where(crossing, split, plain).sum(axis=1)
 
 
-def pairwise_sj_distance_matrix(
-    cds_list: list[PiecewiseLinear], chunk_pairs: int = 4096
-) -> np.ndarray:
-    """The full symmetric :func:`self_join_distance` matrix, vectorised.
+def distinct_members(
+    cds_list: list[PiecewiseLinear],
+) -> tuple[list[PiecewiseLinear], np.ndarray]:
+    """The distinct functions of a family, in first-occurrence order, and
+    the index of each member among them.  Two members are the same when
+    their breakpoint arrays are bit-identical, so any kernel gives both
+    the same result."""
+    index: dict[tuple[bytes, bytes], int] = {}
+    distinct: list[PiecewiseLinear] = []
+    which = np.empty(len(cds_list), dtype=np.intp)
+    for k, f in enumerate(cds_list):
+        u = index.setdefault((f.xs.tobytes(), f.ys.tobytes()), len(distinct))
+        if u == len(distinct):
+            distinct.append(f)
+        which[k] = u
+    return distinct, which
 
-    Equivalent to calling ``self_join_distance`` on every pair (up to
-    floating-point reassociation) but orders of magnitude faster for the
-    family sizes group compression feeds it: all pairs run through one
-    batched merge-grid/interp/integration pass (chunked to bound memory at
-    roughly ``chunk_pairs * max_breakpoints`` floats per intermediate).
-    """
-    n = len(cds_list)
-    dist = np.zeros((n, n))
-    if n < 2:
-        return dist
-    sj = np.array([self_join_bound(f) for f in cds_list])
-    X, Y = _pad_breakpoints(cds_list)
+
+def _pair_distances(
+    X: np.ndarray,
+    Y: np.ndarray,
+    sj: np.ndarray,
+    I: np.ndarray,
+    J: np.ndarray,
+    chunk_pairs: int,
+) -> np.ndarray:
+    """:func:`self_join_distance` of rows ``I[k]`` and ``J[k]`` of the
+    padded breakpoint matrices, for every ``k``.  Each result depends only
+    on its two rows and the padded width, never on the other pairs."""
     m = X.shape[1]
-    iu, ju = np.triu_indices(n, k=1)
     span = np.arange(1, 2 * m + 1)
-    for start in range(0, len(iu), chunk_pairs):
-        I = iu[start : start + chunk_pairs]
-        J = ju[start : start + chunk_pairs]
-        XI, YI, XJ, YJ = X[I], Y[I], X[J], Y[J]
+    out = np.empty(len(I))
+    for start in range(0, len(I), chunk_pairs):
+        I_c = I[start : start + chunk_pairs]
+        J_c = J[start : start + chunk_pairs]
+        XI, YI, XJ, YJ = X[I_c], Y[I_c], X[J_c], Y[J_c]
         # One stable argsort yields the merged grid AND, via provenance
         # counts, the searchsorted indices of every grid point into both
         # breakpoint sets — no further sorting or interp calls needed.
@@ -166,18 +179,50 @@ def pairwise_sj_distance_matrix(
         sj_max = _sj_of_max_rows(G, Vi, Vj)
         with np.errstate(divide="ignore", invalid="ignore"):
             di = np.where(
-                sj[I] > 0,
-                sj_max / np.where(sj[I] > 0, sj[I], 1.0) - 1.0,
+                sj[I_c] > 0,
+                sj_max / np.where(sj[I_c] > 0, sj[I_c], 1.0) - 1.0,
                 (sj_max > 0).astype(float),
             )
             dj = np.where(
-                sj[J] > 0,
-                sj_max / np.where(sj[J] > 0, sj[J], 1.0) - 1.0,
+                sj[J_c] > 0,
+                sj_max / np.where(sj[J_c] > 0, sj[J_c], 1.0) - 1.0,
                 (sj_max > 0).astype(float),
             )
-        row = np.maximum(di + dj, 0.0)
-        dist[I, J] = row
-        dist[J, I] = row
+        out[start : start + len(I_c)] = np.maximum(di + dj, 0.0)
+    return out
+
+
+def pairwise_sj_distance_matrix(
+    cds_list: list[PiecewiseLinear], chunk_pairs: int = 4096
+) -> np.ndarray:
+    """The full symmetric :func:`self_join_distance` matrix, vectorised.
+
+    Equivalent to calling ``self_join_distance`` on every pair (up to
+    floating-point reassociation) but orders of magnitude faster for the
+    family sizes group compression feeds it: all pairs run through one
+    batched merge-grid/interp/integration pass (chunked to bound memory at
+    roughly ``chunk_pairs * max_breakpoints`` floats per intermediate).
+
+    Families repeat functions (many MCV values share one compressed CDS),
+    so each ordered pair of *distinct* members is evaluated once — plus
+    one self-pair per member that occurs more than once — and the results
+    are expanded back to every pair.  The kernel is not bit-symmetric, so
+    entry ``(i, j)``, ``i < j``, always comes from the pair in the order
+    ``(member i, member j)``, as if every pair were evaluated.
+    """
+    n = len(cds_list)
+    dist = np.zeros((n, n))
+    if n < 2:
+        return dist
+    distinct, which = distinct_members(cds_list)
+    k = len(distinct)
+    sj = np.array([self_join_bound(f) for f in distinct])
+    X, Y = _pad_breakpoints(distinct)
+    iu, ju = np.triu_indices(n, k=1)
+    pairs, expand = np.unique(which[iu] * k + which[ju], return_inverse=True)
+    row = _pair_distances(X, Y, sj, pairs // k, pairs % k, chunk_pairs)[expand]
+    dist[iu, ju] = row
+    dist[ju, iu] = row
     return dist
 
 
@@ -221,11 +266,17 @@ def group_maxima(
     Returns ``(representatives, remapped_labels)`` where
     ``representatives[remapped_labels[i]]`` dominates ``cds_list[i]``.
     """
+    distinct, which = distinct_members(cds_list)
     reps: list[PiecewiseLinear] = []
     remap: dict[int, int] = {}
     out = np.empty(len(labels), dtype=int)
     for label in np.unique(labels):
-        members = [cds_list[i] for i in np.flatnonzero(labels == label)]
+        member_ids = which[labels == label]
+        members = [distinct[u] for u in np.unique(member_ids)]
+        if len(members) == 1 and len(member_ids) > 1:
+            # concave_max treats a single input differently from several;
+            # a cluster of copies stays on the several-input path.
+            members *= 2
         # Members are concave CDSs, so the crossing-free concave max equals
         # the envelope of their exact pointwise max.
         rep = concave_max(members)

@@ -17,6 +17,9 @@ DS is its :meth:`delta`.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
+
 import numpy as np
 
 from .degree_sequence import DegreeSequence
@@ -24,6 +27,8 @@ from .piecewise import PiecewiseLinear
 
 __all__ = [
     "valid_compress",
+    "valid_compress_runs",
+    "RunListCompressor",
     "equi_depth_compress",
     "exponential_compress",
     "dominate_ds_compress",
@@ -35,7 +40,19 @@ __all__ = [
 
 
 def valid_compress(ds: DegreeSequence, accuracy: float = 0.01) -> PiecewiseLinear:
+    """Algorithm 1 (ValidCompress) of the paper on a :class:`DegreeSequence`
+    (see :func:`valid_compress_runs`)."""
+    return valid_compress_runs(ds.freqs.tolist(), ds.counts.tolist(), accuracy)
+
+
+def valid_compress_runs(
+    freqs: Sequence[int], counts: Sequence[int], accuracy: float = 0.01
+) -> PiecewiseLinear:
     """Algorithm 1 (ValidCompress) of the paper, run-length accelerated.
+
+    ``freqs`` are a degree sequence's distinct frequencies in strictly
+    descending order and ``counts[i]`` how many values have ``freqs[i]``
+    (positive Python ints, the run-length form of :class:`DegreeSequence`).
 
     Walks the exact degree sequence rank by rank, extending the current
     linear segment of the compressed CDS; a new segment starts whenever the
@@ -47,23 +64,24 @@ def valid_compress(ds: DegreeSequence, accuracy: float = 0.01) -> PiecewiseLinea
     The result is a *valid* compression (Def 3.3): nonincreasing associated
     DS, CDS domination, and exact cardinality preservation.
     """
-    if ds.num_distinct == 0:
+    if not len(freqs):
         return PiecewiseLinear.zero()
-    d = float(ds.num_distinct)
-    cardinality = float(ds.cardinality)
-    threshold = accuracy * float(ds.self_join_size)
+    d = float(sum(counts))
+    cardinality = float(sum(f * c for f, c in zip(freqs, counts)))
+    threshold = accuracy * float(sum(f * f * c for f, c in zip(freqs, counts)))
 
     # Breakpoints of the compressed CDS under construction.
     bp_x = [0.0]
     bp_y = [0.0]
-    slope = float(ds.freqs[0])  # a_1 = f(1)
+    slope = float(freqs[0])  # a_1 = f(1)
     seg_start_x = 0.0
     seg_start_y = 0.0
     m = 0.0  # current right end of the open segment
     eps = 0.0  # accumulated self-join error of the open segment
 
-    for freq, count in zip(ds.freqs.astype(float), ds.counts.astype(float)):
-        remaining = count
+    for freq, count in zip(freqs, counts):
+        freq = float(freq)
+        remaining = float(count)
         while remaining > 0:
             # Error added per rank while the slope stays `slope`:
             #   a_k^2 * (f/a_k) - f^2 = f * (a_k - f)
@@ -74,7 +92,7 @@ def valid_compress(ds: DegreeSequence, accuracy: float = 0.01) -> PiecewiseLinea
                 remaining = 0.0
                 continue
             budget = threshold - eps
-            can_take = np.floor(budget / inc) if budget > 0 else 0.0
+            can_take = float(math.floor(budget / inc)) if budget > 0 else 0.0
             if can_take >= remaining:
                 eps += remaining * inc
                 m += remaining * (freq / slope)
@@ -105,6 +123,31 @@ def valid_compress(ds: DegreeSequence, accuracy: float = 0.01) -> PiecewiseLinea
     else:
         bp_y[-1] = cardinality
     return PiecewiseLinear(np.array(bp_x), np.array(bp_y))
+
+
+class RunListCompressor:
+    """:func:`valid_compress_runs` computed once per distinct run list.
+
+    An offline build compresses many identical sequences (for instance,
+    every MCV value whose rows hit distinct join values has the run list
+    ``[(1, k)]``), so the builder keeps one instance for the whole build
+    and hands the same compressed CDS to every family that asks.  Scope an
+    instance to one build: it holds every CDS it has produced.
+    """
+
+    def __init__(self, accuracy: float) -> None:
+        self.accuracy = accuracy
+        self._done: dict[tuple[tuple[int, ...], tuple[int, ...]], PiecewiseLinear] = {}
+
+    def __call__(self, freqs: tuple[int, ...], counts: tuple[int, ...]) -> PiecewiseLinear:
+        key = (freqs, counts)
+        cds = self._done.get(key)
+        if cds is None:
+            cds = self._done[key] = valid_compress_runs(freqs, counts, self.accuracy)
+        return cds
+
+    def degree_sequence(self, ds: DegreeSequence) -> PiecewiseLinear:
+        return self(tuple(ds.freqs.tolist()), tuple(ds.counts.tolist()))
 
 
 def compress_from_ranks(ds: DegreeSequence, dividers: np.ndarray) -> PiecewiseLinear:

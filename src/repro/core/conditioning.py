@@ -20,7 +20,7 @@ Bloom filters (Sec 4.3) replace the MCV dictionaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .arena import pl_view
 from .arraykernel import Ragged
 from .bloom import BloomFilter
 from .clustering import cluster_cds, group_maxima
-from .compression import reduce_cds_segments, valid_compress
+from .compression import RunListCompressor, reduce_cds_segments
 from .degree_sequence import DegreeSequence
 from .piecewise import (
     _EPS,
@@ -54,7 +54,12 @@ __all__ = [
     "JoinColumnStats",
     "build_join_column_stats",
     "equi_depth_boundaries",
+    "FilterColumnPrep",
+    "prepare_filter_values",
+    "prepare_filter_column",
+    "filter_column_stats",
     "pair_group_sequences",
+    "group_runs",
     "max_cds_over_groups",
     "evaluate_expr",
     "evaluate_exprs_array",
@@ -181,6 +186,31 @@ def max_cds_over_groups(
     return concave_envelope(PiecewiseLinear(xs, ys))
 
 
+def group_runs(pg: np.ndarray, pc: np.ndarray) -> tuple[list[int], list[tuple]]:
+    """Split :func:`pair_group_sequences` output into one run list per group.
+
+    ``pg`` is grouped and ``pc`` descending within each group, so the runs
+    of equal frequencies are adjacent: no per-group scan or ``np.unique``
+    is needed.  Returns ``(groups, runs)`` with the groups ascending and
+    ``runs[k] = (freqs, counts)`` as tuples of Python ints — the input of
+    :func:`~.compression.valid_compress_runs`.
+    """
+    n = len(pg)
+    if not n:
+        return [], []
+    new_run = np.concatenate(([True], (pg[1:] != pg[:-1]) | (pc[1:] != pc[:-1])))
+    starts = np.flatnonzero(new_run)
+    run_group = pg[starts]
+    freqs = pc[starts].tolist()
+    counts = np.diff(np.append(starts, n)).tolist()
+    first = np.flatnonzero(np.concatenate(([True], run_group[1:] != run_group[:-1])))
+    bounds = np.append(first, len(starts)).tolist()
+    runs = [
+        (tuple(freqs[a:b]), tuple(counts[a:b])) for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    return run_group[first].tolist(), runs
+
+
 def _compress_group(
     sequences: list[PiecewiseLinear], config: ConditioningConfig
 ) -> tuple[list[PiecewiseLinear], np.ndarray]:
@@ -193,9 +223,107 @@ def _compress_group(
     return group_maxima(sequences, labels)
 
 
-def _cds_of_frequencies(freqs: np.ndarray, config: ConditioningConfig) -> PiecewiseLinear:
-    ds = DegreeSequence.from_frequencies(freqs)
-    return valid_compress(ds, config.compression_accuracy)
+def _join_keys(join_values: np.ndarray) -> np.ndarray:
+    """Integer keys of join values under :meth:`DegreeSequence.from_column`
+    equality: ``np.unique`` for numeric columns (all NaNs one value), dict
+    hashing for object columns."""
+    if join_values.dtype == object:
+        index: dict = {}
+        return np.fromiter(
+            (index.setdefault(v, len(index)) for v in join_values.tolist()),
+            dtype=np.int64,
+            count=len(join_values),
+        )
+    return np.unique(join_values, return_inverse=True)[1].astype(np.int64)
+
+
+# ----------------------------------------------------------------------
+# Per-filter-column preparation (independent of the join column)
+# ----------------------------------------------------------------------
+@dataclass
+class FilterColumnPrep:
+    """The work on one filter column that every join column shares.
+
+    Built once per table from the column's distinct values and their
+    multiplicities (:func:`prepare_filter_values`): numeric columns get
+    their histogram boundaries and each value's finest bucket, string
+    columns their top 3-grams and a value x gram membership matrix whose
+    last column marks values with no top gram.  :meth:`for_rows` adds the
+    per-row view a join column's pass needs.
+    """
+
+    uniques: np.ndarray
+    boundaries: np.ndarray | None = None
+    levels: int = 0
+    value_bucket: np.ndarray | None = None
+    top_grams: list[str] | None = None
+    value_grams: np.ndarray | None = None
+    # Per row (set by for_rows): the value code, and the finest bucket
+    # (numeric) or every (gram, row) membership as parallel arrays, with
+    # group ``len(top_grams)`` for rows that have no top gram (strings).
+    codes: np.ndarray | None = None
+    fine_codes: np.ndarray | None = None
+    gram_group: np.ndarray | None = None
+    gram_rows: np.ndarray | None = None
+
+    @property
+    def is_string(self) -> bool:
+        return self.top_grams is not None
+
+    def for_rows(self, codes: np.ndarray) -> "FilterColumnPrep":
+        """This preparation for rows whose values are ``uniques[codes]``."""
+        if not self.is_string:
+            return replace(self, codes=codes, fine_codes=self.value_bucket[codes])
+        gram_rows, gram_group = np.nonzero(self.value_grams[codes])
+        return replace(self, codes=codes, gram_group=gram_group, gram_rows=gram_rows)
+
+
+def _clean_strings(values: np.ndarray) -> np.ndarray:
+    """String filter values with every non-string (None, NaN) as ``""``."""
+    return np.array([v if isinstance(v, str) else "" for v in values.tolist()], dtype=object)
+
+
+def prepare_filter_values(
+    uniques: np.ndarray, multiplicities: np.ndarray, config: ConditioningConfig
+) -> FilterColumnPrep:
+    """Prepare a filter column from its sorted distinct values (strings
+    already cleaned) and their row multiplicities."""
+    if uniques.dtype != object:
+        boundaries, levels = equi_depth_boundaries(
+            np.repeat(uniques, multiplicities), config.histogram_levels
+        )
+        value_bucket = np.clip(
+            np.searchsorted(boundaries, uniques.astype(float), "right") - 1,
+            0,
+            len(boundaries) - 2,
+        )
+        return FilterColumnPrep(uniques, boundaries, levels, value_bucket)
+    # 3-grams are extracted once per distinct string and weighted by its
+    # multiplicity: every row with the same value has the same grams.
+    value_grams = [set(trigrams(v)) for v in uniques.tolist()]
+    gram_counts: dict[str, int] = {}
+    for grams, m in zip(value_grams, multiplicities.tolist()):
+        for g in grams:
+            gram_counts[g] = gram_counts.get(g, 0) + m
+    top = sorted(gram_counts, key=lambda g: (-gram_counts[g], g))[: config.trigram_mcv_size]
+    top_index = {g: gi for gi, g in enumerate(top)}
+    membership = np.zeros((len(uniques), len(top) + 1), dtype=bool)
+    for ui, grams in enumerate(value_grams):
+        for g in grams:
+            gi = top_index.get(g)
+            if gi is not None:
+                membership[ui, gi] = True
+    membership[:, -1] = ~membership[:, :-1].any(axis=1)
+    return FilterColumnPrep(uniques, top_grams=top, value_grams=membership)
+
+
+def prepare_filter_column(values: np.ndarray, config: ConditioningConfig) -> FilterColumnPrep:
+    """:func:`prepare_filter_values` of a full column, with its rows."""
+    if values.dtype == object:
+        values = _clean_strings(values)
+    codes, uniques = _factorize(values)
+    multiplicities = np.bincount(codes, minlength=len(uniques))
+    return prepare_filter_values(uniques, multiplicities, config).for_rows(codes)
 
 
 # ----------------------------------------------------------------------
@@ -270,25 +398,22 @@ class EqualityStats:
 
 
 def _build_equality_stats(
-    filter_values: np.ndarray,
+    prep: FilterColumnPrep,
     join_values: np.ndarray,
     config: ConditioningConfig,
+    compress: RunListCompressor,
     weights: np.ndarray | None = None,
 ) -> EqualityStats:
-    codes, uniques = _factorize(filter_values)
-    pg, pc, ranks, cumsums = pair_group_sequences(codes, join_values, weights)
+    uniques = prep.uniques
+    pg, pc, ranks, cumsums = pair_group_sequences(prep.codes, join_values, weights)
     group_totals = np.zeros(len(uniques))
     np.add.at(group_totals, pg, pc.astype(float))
     mcv_count = min(config.mcv_size, len(uniques))
     mcv_codes = np.argsort(group_totals, kind="stable")[::-1][:mcv_count]
-    mcv_set = set(int(c) for c in mcv_codes)
 
-    sequences: list[PiecewiseLinear] = []
-    values_per_seq: list[object] = []
-    for code in mcv_codes:
-        freqs = pc[pg == code]
-        sequences.append(_cds_of_frequencies(freqs, config))
-        values_per_seq.append(_canonical_value(uniques[code]))
+    runs_of = dict(zip(*group_runs(pg, pc)))
+    sequences = [compress(*runs_of[code]) for code in mcv_codes.tolist()]
+    values_per_seq = [_canonical_value(uniques[code]) for code in mcv_codes]
 
     non_mcv_mask = ~np.isin(pg, mcv_codes)
     default = max_cds_over_groups(ranks, cumsums, non_mcv_mask)
@@ -400,40 +525,25 @@ def equi_depth_boundaries(
 
 
 def _build_histogram_stats(
-    filter_values: np.ndarray,
+    prep: FilterColumnPrep,
     join_values: np.ndarray,
     base: PiecewiseLinear,
     config: ConditioningConfig,
+    compress: RunListCompressor,
     weights: np.ndarray | None = None,
-    boundary_info: tuple[np.ndarray, int] | None = None,
 ) -> HistogramStats:
-    """``boundary_info`` supplies precomputed ``equi_depth_boundaries``
-    output (from the full column multiset) when ``filter_values`` holds
-    deduplicated pairs; by default boundaries derive from ``filter_values``
-    itself."""
-    if boundary_info is None:
-        boundary_info = equi_depth_boundaries(filter_values, config.histogram_levels)
-    boundaries, levels = boundary_info
-    num_fine = len(boundaries) - 1
-
-    fine_codes = np.clip(
-        np.searchsorted(boundaries, filter_values.astype(float), "right") - 1,
-        0,
-        num_fine - 1,
-    )
+    levels = prep.levels
     sequences: list[PiecewiseLinear] = []
     keys: list[tuple[int, int]] = []
     for level in range(levels, 0, -1):
-        shift = levels - level
-        codes = fine_codes >> shift
+        codes = prep.fine_codes >> (levels - level)
         pg, pc, _, _ = pair_group_sequences(codes, join_values, weights)
-        for bucket in np.unique(pg):
-            freqs = pc[pg == bucket]
-            sequences.append(_cds_of_frequencies(freqs, config))
-            keys.append((level, int(bucket)))
+        for bucket, runs in zip(*group_runs(pg, pc)):
+            sequences.append(compress(*runs))
+            keys.append((level, bucket))
     reps, labels = _compress_group(sequences, config)
     bucket_group = {k: int(l) for k, l in zip(keys, labels)}
-    return HistogramStats(boundaries, levels, reps, bucket_group, base)
+    return HistogramStats(prep.boundaries, levels, reps, bucket_group, base)
 
 
 # ----------------------------------------------------------------------
@@ -468,78 +578,27 @@ class TrigramStats:
 
 
 def _build_trigram_stats(
-    filter_values: np.ndarray,
+    prep: FilterColumnPrep,
     join_values: np.ndarray,
     base: PiecewiseLinear,
     config: ConditioningConfig,
+    compress: RunListCompressor,
     weights: np.ndarray | None = None,
 ) -> TrigramStats:
-    if weights is None:
-        gram_counts: dict[str, int] = {}
-        row_grams: list[set[str]] = []
-        for value in filter_values.tolist():
-            grams = set(trigrams(value)) if isinstance(value, str) else set()
-            row_grams.append(grams)
-            for g in grams:
-                gram_counts[g] = gram_counts.get(g, 0) + 1
-    else:
-        # Deduplicated path: extract 3-grams once per *distinct* string and
-        # weight by its row multiplicity — identical counts, because every
-        # row with the same value contributes the same gram set.
-        codes, uniques = _factorize(filter_values)
-        mult = np.zeros(len(uniques), dtype=np.int64)
-        np.add.at(mult, codes, np.asarray(weights, dtype=np.int64))
-        value_grams = [
-            set(trigrams(v)) if isinstance(v, str) else set() for v in uniques.tolist()
-        ]
-        gram_counts = {}
-        for grams, m in zip(value_grams, mult.tolist()):
-            for g in grams:
-                gram_counts[g] = gram_counts.get(g, 0) + m
-    top = sorted(gram_counts, key=lambda g: (-gram_counts[g], g))[
-        : config.trigram_mcv_size
-    ]
-    top_set = set(top)
-    sequences = []
-    if weights is None:
-        gram_rows: dict[str, list[int]] = {g: [] for g in top}
-        no_gram_rows: list[int] = []
-        for i, grams in enumerate(row_grams):
-            common = grams & top_set
-            if not common:
-                no_gram_rows.append(i)
-            for g in common:
-                gram_rows[g].append(i)
-        for g in top:
-            ds = DegreeSequence.from_column(
-                join_values[np.array(gram_rows[g], dtype=int)]
-            )
-            sequences.append(valid_compress(ds, config.compression_accuracy))
-        if no_gram_rows:
-            ds = DegreeSequence.from_column(join_values[np.array(no_gram_rows, dtype=int)])
-            no_common = valid_compress(ds, config.compression_accuracy)
-        else:
-            no_common = PiecewiseLinear.zero()
-    else:
-        w = np.asarray(weights, dtype=np.int64)
-        # Per-distinct-value membership matrix: one fancy-index per gram
-        # instead of an isin scan over all pairs per gram.
-        top_index = {g: gi for gi, g in enumerate(top)}
-        has_gram = np.zeros((len(uniques), len(top)), dtype=bool)
-        for ui, grams in enumerate(value_grams):
-            for g in grams & top_set:
-                has_gram[ui, top_index[g]] = True
-        pair_has = has_gram[codes]
-        for gi in range(len(top)):
-            mask = pair_has[:, gi]
-            ds = DegreeSequence.from_column(np.repeat(join_values[mask], w[mask]))
-            sequences.append(valid_compress(ds, config.compression_accuracy))
-        mask = ~pair_has.any(axis=1) if len(top) else np.ones(len(codes), dtype=bool)
-        if mask.any():
-            ds = DegreeSequence.from_column(np.repeat(join_values[mask], w[mask]))
-            no_common = valid_compress(ds, config.compression_accuracy)
-        else:
-            no_common = PiecewiseLinear.zero()
+    # One grouped pass over every (gram, row) membership; join values are
+    # keyed like DegreeSequence.from_column so equal values (NaN included)
+    # count as one.
+    top = prep.top_grams
+    rows = prep.gram_rows
+    pg, pc, _, _ = pair_group_sequences(
+        prep.gram_group,
+        _join_keys(join_values)[rows],
+        None if weights is None else np.asarray(weights)[rows],
+    )
+    runs_of = dict(zip(*group_runs(pg, pc)))
+    sequences = [compress(*runs_of[gi]) for gi in range(len(top))]
+    no_gram = runs_of.get(len(top))
+    no_common = PiecewiseLinear.zero() if no_gram is None else compress(*no_gram)
     reps, labels = _compress_group(sequences, config)
     gram_to_group = {g: int(l) for g, l in zip(top, labels)}
     return TrigramStats(reps, gram_to_group, no_common, base)
@@ -909,34 +968,54 @@ def fill_truncations_batch(
 
 
 # ----------------------------------------------------------------------
+def filter_column_stats(
+    prep: FilterColumnPrep,
+    join_values: np.ndarray,
+    base: PiecewiseLinear,
+    config: ConditioningConfig,
+    compress: RunListCompressor,
+    weights: np.ndarray | None = None,
+) -> FilterColumnStats:
+    """The statistics of one (join column, filter column) pair.
+
+    ``weights`` gives each row an integer multiplicity (default 1): rows
+    deduplicated to distinct (filter value, join value) pairs with their
+    counts give the same statistics as the expanded rows, which is how the
+    parallel build feeds its merged counters through this function.
+    """
+    fstats = FilterColumnStats()
+    fstats.equality = _build_equality_stats(prep, join_values, config, compress, weights)
+    if prep.is_string:
+        fstats.trigram = _build_trigram_stats(prep, join_values, base, config, compress, weights)
+    else:
+        fstats.histogram = _build_histogram_stats(
+            prep, join_values, base, config, compress, weights
+        )
+    return fstats
+
+
 def build_join_column_stats(
     column: str,
     join_values: np.ndarray,
-    filter_columns: dict[str, np.ndarray],
+    filter_columns: dict[str, np.ndarray | FilterColumnPrep],
     config: ConditioningConfig,
+    compress: RunListCompressor | None = None,
 ) -> JoinColumnStats:
     """Offline construction of all statistics for one join column.
 
-    ``filter_columns`` maps filter-column name to its (full-table) values;
-    numeric columns get MCV + histogram statistics, string columns get MCV
-    + trigram statistics.
+    ``filter_columns`` maps filter-column name to its (full-table) values,
+    or to their :func:`prepare_filter_column` output so that the join
+    columns of a table share it; numeric columns get MCV + histogram
+    statistics, string columns get MCV + trigram statistics.  ``compress``
+    is the build's :class:`RunListCompressor` (a fresh one by default).
     """
-    base_ds = DegreeSequence.from_column(join_values)
-    base = valid_compress(base_ds, config.compression_accuracy)
+    compress = compress or RunListCompressor(config.compression_accuracy)
+    base = compress.degree_sequence(DegreeSequence.from_column(join_values))
     stats = JoinColumnStats(column, base, like_default_mode=config.like_default_mode)
-    for fcol, fvalues in filter_columns.items():
+    for fcol, prep in filter_columns.items():
         if fcol == column:
             continue
-        is_string = fvalues.dtype == object
-        fstats = FilterColumnStats()
-        if is_string:
-            clean = np.array(
-                [v if isinstance(v, str) else "" for v in fvalues.tolist()], dtype=object
-            )
-            fstats.equality = _build_equality_stats(clean, join_values, config)
-            fstats.trigram = _build_trigram_stats(clean, join_values, base, config)
-        else:
-            fstats.equality = _build_equality_stats(fvalues, join_values, config)
-            fstats.histogram = _build_histogram_stats(fvalues, join_values, base, config)
-        stats.filters[fcol] = fstats
+        if not isinstance(prep, FilterColumnPrep):
+            prep = prepare_filter_column(prep, config)
+        stats.filters[fcol] = filter_column_stats(prep, join_values, base, config, compress)
     return stats

@@ -32,14 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import valid_compress
+from .compression import RunListCompressor
 from .conditioning import (
     ConditioningConfig,
-    FilterColumnStats,
+    FilterColumnPrep,
     JoinColumnStats,
-    _build_equality_stats,
-    _build_histogram_stats,
-    _build_trigram_stats,
+    _clean_strings,
+    filter_column_stats,
 )
 from .degree_sequence import DegreeSequence
 from .piecewise import PiecewiseLinear
@@ -157,7 +156,6 @@ class PairCounts:
     stays unmergeable) and are coded for object columns.
     """
 
-    f_is_object: bool
     j_is_object: bool
     f_uniques: np.ndarray
     j_uniques: np.ndarray | None
@@ -167,7 +165,6 @@ class PairCounts:
 
     @staticmethod
     def from_encoded(
-        f_is_object: bool,
         f_uniques: np.ndarray,
         f_codes: np.ndarray,
         join_values: np.ndarray,
@@ -179,7 +176,7 @@ class PairCounts:
             j_uniques, j_keys = None, join_values
         ones = np.ones(len(f_codes), dtype=np.int64)
         fc, jk, counts = _dedup_pairs(f_codes.astype(np.int64), j_keys, ones)
-        return PairCounts(f_is_object, j_is_object, f_uniques, j_uniques, fc, jk, counts)
+        return PairCounts(j_is_object, f_uniques, j_uniques, fc, jk, counts)
 
     @staticmethod
     def merge(parts: list["PairCounts"]) -> "PairCounts":
@@ -200,25 +197,20 @@ class PairCounts:
             j_keys = np.concatenate([p.j_keys for p in parts])
         counts = np.concatenate([p.counts for p in parts])
         fc, jk, merged = _dedup_pairs(f_codes, j_keys, counts)
-        return PairCounts(
-            parts[0].f_is_object, j_is_object, f_uniques, j_uniques, fc, jk, merged
-        )
+        return PairCounts(j_is_object, f_uniques, j_uniques, fc, jk, merged)
 
     # ------------------------------------------------------------------
-    def filter_values(self) -> np.ndarray:
-        return self.f_uniques[self.f_codes]
-
     def join_values(self) -> np.ndarray:
         if self.j_is_object:
             return self.j_uniques[self.j_keys]
         return self.j_keys
 
-    def filter_multiset(self) -> np.ndarray:
-        """The full filter-column multiset (pair counts summed per value) —
-        exactly what the serial path hands ``np.quantile``."""
+    def filter_totals(self) -> np.ndarray:
+        """The row multiplicity of each ``f_uniques`` entry (pair counts
+        summed per filter value)."""
         totals = np.zeros(len(self.f_uniques), dtype=np.int64)
         np.add.at(totals, self.f_codes, self.counts)
-        return np.repeat(self.f_uniques, totals)
+        return totals
 
 
 # ----------------------------------------------------------------------
@@ -252,27 +244,18 @@ def extract_shard_partial(
     column_counts = {
         col: ColumnValueCounts.from_values(values) for col, values in columns.items()
     }
-    encoded: dict[str, tuple[bool, np.ndarray, np.ndarray]] = {}
+    encoded: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for fcol, fvalues in filter_arrays.items():
         if fvalues.dtype == object:
-            clean = np.array(
-                [v if isinstance(v, str) else "" for v in fvalues.tolist()],
-                dtype=object,
-            )
-            uniques, codes = np.unique(clean, return_inverse=True)
-            encoded[fcol] = (True, uniques, codes)
-        else:
-            uniques, codes = np.unique(fvalues, return_inverse=True)
-            encoded[fcol] = (False, uniques, codes)
+            fvalues = _clean_strings(fvalues)
+        encoded[fcol] = np.unique(fvalues, return_inverse=True)
     pair_counts: dict[tuple[str, str], PairCounts] = {}
     for jcol in join_columns:
         join_values = columns[jcol]
-        for fcol, (f_is_object, uniques, codes) in encoded.items():
+        for fcol, (uniques, codes) in encoded.items():
             if fcol == jcol:
                 continue
-            pair_counts[(jcol, fcol)] = PairCounts.from_encoded(
-                f_is_object, uniques, codes, join_values
-            )
+            pair_counts[(jcol, fcol)] = PairCounts.from_encoded(uniques, codes, join_values)
     return TableShardPartial(table, num_rows, column_counts, pair_counts)
 
 
@@ -305,7 +288,7 @@ def finalize_join_column(
     column: str,
     base_counts: ColumnValueCounts,
     pairs: dict[str, PairCounts],
-    boundaries: dict[str, tuple[np.ndarray, int]],
+    preps: dict[str, FilterColumnPrep],
     config: ConditioningConfig,
 ) -> tuple[str, str, JoinColumnStats]:
     """Build one join column's statistics from merged partials.
@@ -313,35 +296,22 @@ def finalize_join_column(
     Runs the exact serial builders with pair multiplicities as weights;
     ``pairs`` must be ordered like the serial ``filter_columns`` dict so
     the resulting filter-family ordering (and hence the serialized
-    archive layout) matches the serial build.  ``boundaries`` carries the
-    per-filter-column equi-depth histogram boundaries, computed once per
-    table since they are identical for every join column.
+    archive layout) matches the serial build.  ``preps`` holds each
+    filter column's :func:`prepare_filter_values`, made once per table:
+    every join column's pairs index the same ``f_uniques``.
     """
-    base_ds = DegreeSequence.from_frequencies(base_counts.counts)
-    base = valid_compress(base_ds, config.compression_accuracy)
+    compress = RunListCompressor(config.compression_accuracy)
+    base = compress.degree_sequence(DegreeSequence.from_frequencies(base_counts.counts))
     stats = JoinColumnStats(column, base, like_default_mode=config.like_default_mode)
     for fcol, pc in pairs.items():
-        filter_values = pc.filter_values()
-        join_values = pc.join_values()
-        weights = pc.counts
-        fstats = FilterColumnStats()
-        fstats.equality = _build_equality_stats(
-            filter_values, join_values, config, weights
+        stats.filters[fcol] = filter_column_stats(
+            preps[fcol].for_rows(pc.f_codes),
+            pc.join_values(),
+            base,
+            config,
+            compress,
+            pc.counts,
         )
-        if pc.f_is_object:
-            fstats.trigram = _build_trigram_stats(
-                filter_values, join_values, base, config, weights
-            )
-        else:
-            fstats.histogram = _build_histogram_stats(
-                filter_values,
-                join_values,
-                base,
-                config,
-                weights,
-                boundaries[fcol],
-            )
-        stats.filters[fcol] = fstats
     return table, column, stats
 
 
@@ -351,8 +321,8 @@ def finalize_fallback_cds(
     accuracy: float,
 ) -> tuple[str, dict[str, PiecewiseLinear]]:
     """The unconditioned per-column fallback CDSs from merged counters."""
+    compress = RunListCompressor(accuracy)
     fallback: dict[str, PiecewiseLinear] = {}
     for col, counts in column_counts.items():
-        ds = DegreeSequence.from_frequencies(counts.counts)
-        fallback[col] = valid_compress(ds, accuracy)
+        fallback[col] = compress.degree_sequence(DegreeSequence.from_frequencies(counts.counts))
     return table, fallback

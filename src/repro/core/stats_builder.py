@@ -28,12 +28,14 @@ import numpy as np
 
 from ..db.database import Database
 from ..db.table import Table
-from .compression import valid_compress
+from .compression import RunListCompressor
 from .conditioning import (
     ConditioningConfig,
+    FilterColumnPrep,
     JoinColumnStats,
     build_join_column_stats,
-    equi_depth_boundaries,
+    prepare_filter_column,
+    prepare_filter_values,
 )
 from .degree_sequence import DegreeSequence
 from .partial_stats import (
@@ -375,6 +377,7 @@ def build_statistics(
         )
     started = time.perf_counter()
     stats = SafeBoundStats()
+    compress = RunListCompressor(config.compression_accuracy)
     for name, tschema in db.schema.tables.items():
         if name not in db:
             continue
@@ -383,16 +386,23 @@ def build_statistics(
         filter_columns = _collect_filter_columns(
             db, name, table, rel, precompute_pk_joins, build_trigrams
         )
-
-        for jcol in tschema.join_columns:
+        # Factorisation, histogram buckets and 3-grams of a filter column
+        # do not depend on the join column: prepare them once per table.
+        join_columns = tschema.join_columns
+        preps = {
+            fcol: prepare_filter_column(values, config)
+            for fcol, values in filter_columns.items()
+            if any(jcol != fcol for jcol in join_columns)
+        }
+        for jcol in join_columns:
             rel.join_stats[jcol] = build_join_column_stats(
-                jcol, table.column(jcol), filter_columns, config
+                jcol, table.column(jcol), preps, config, compress
             )
 
         # One unconditioned CDS per column: the undeclared-join fallback.
         for col in table.column_names:
             ds = DegreeSequence.from_column(table.column(col))
-            rel.fallback_cds[col] = valid_compress(ds, config.compression_accuracy)
+            rel.fallback_cds[col] = compress.degree_sequence(ds)
 
         if track_updates:
             rel.attach_incremental(table, config.compression_accuracy)
@@ -464,14 +474,13 @@ def _build_statistics_parallel(
             del collected[name]
             tschema = db.schema.tables[name]
             filter_order = _filter_column_order(rels[name], tschema)
-            # Histogram boundaries are a function of the filter column's
-            # multiset only — identical for every join column, so derive
-            # them once per table (any pair family carries the multiset).
-            boundaries: dict[str, tuple[np.ndarray, int]] = {}
+            # A filter column's distinct values and multiplicities are the
+            # same in every join column's pairs: prepare each once per table.
+            preps: dict[str, FilterColumnPrep] = {}
             for (jcol, fcol), pc in merged.pair_counts.items():
-                if not pc.f_is_object and fcol not in boundaries:
-                    boundaries[fcol] = equi_depth_boundaries(
-                        pc.filter_multiset(), config.histogram_levels
+                if fcol not in preps:
+                    preps[fcol] = prepare_filter_values(
+                        pc.f_uniques, pc.filter_totals(), config
                     )
             for jcol in tschema.join_columns:
                 pairs = {
@@ -486,7 +495,7 @@ def _build_statistics_parallel(
                         jcol,
                         merged.column_counts[jcol],
                         pairs,
-                        boundaries,
+                        {fcol: preps[fcol] for fcol in pairs},
                         config,
                     )
                 )

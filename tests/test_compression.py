@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compression import (
+    RunListCompressor,
     dominate_ds_compress,
     equi_depth_compress,
     exponential_compress,
@@ -16,8 +17,10 @@ from repro.core.compression import (
     relative_self_join_error,
     self_join_bound,
     valid_compress,
+    valid_compress_runs,
 )
 from repro.core.degree_sequence import DegreeSequence
+from repro.core.piecewise import PiecewiseLinear
 
 
 def _validity_checks(ds: DegreeSequence, compressed):
@@ -82,6 +85,103 @@ class TestValidCompress:
         compressed = valid_compress(ds, 0.01)
         assert compressed.num_segments <= 40
         assert compressed.num_segments < ds.num_runs
+
+
+def _valid_compress_oracle(ds: DegreeSequence, accuracy: float) -> PiecewiseLinear:
+    """ValidCompress as it ran on numpy scalars straight off the
+    DegreeSequence arrays — the reference for the run-list compressor."""
+    if ds.num_distinct == 0:
+        return PiecewiseLinear.zero()
+    d = float(ds.num_distinct)
+    cardinality = float(ds.cardinality)
+    threshold = accuracy * float(ds.self_join_size)
+    bp_x = [0.0]
+    bp_y = [0.0]
+    slope = float(ds.freqs[0])
+    seg_start_x = 0.0
+    seg_start_y = 0.0
+    m = 0.0
+    eps = 0.0
+    for freq, count in zip(ds.freqs.astype(float), ds.counts.astype(float)):
+        remaining = count
+        while remaining > 0:
+            inc = freq * (slope - freq)
+            if inc <= 0.0:
+                m += remaining * (freq / slope)
+                remaining = 0.0
+                continue
+            budget = threshold - eps
+            can_take = np.floor(budget / inc) if budget > 0 else 0.0
+            if can_take >= remaining:
+                eps += remaining * inc
+                m += remaining * (freq / slope)
+                remaining = 0.0
+            else:
+                take = max(can_take, 0.0)
+                if take > 0:
+                    eps += take * inc
+                    m += take * (freq / slope)
+                    remaining -= take
+                seg_start_y = seg_start_y + slope * (m - seg_start_x)
+                seg_start_x = m
+                bp_x.append(seg_start_x)
+                bp_y.append(seg_start_y)
+                slope = freq
+                eps = 0.0
+    end_y = seg_start_y + slope * (m - seg_start_x)
+    bp_x.append(m)
+    bp_y.append(end_y)
+    if m < d - 1e-12:
+        bp_x.append(d)
+        bp_y.append(cardinality)
+    else:
+        bp_y[-1] = cardinality
+    return PiecewiseLinear(np.array(bp_x), np.array(bp_y))
+
+
+def _assert_same_function(a: PiecewiseLinear, b: PiecewiseLinear) -> None:
+    assert a.xs.tobytes() == b.xs.tobytes()
+    assert a.ys.tobytes() == b.ys.tobytes()
+
+
+# Run lists: strictly descending frequencies, each with a run length.
+run_lists = st.lists(
+    st.tuples(st.integers(1, 10**6), st.integers(1, 10**5)), min_size=1, max_size=60
+).map(lambda runs: sorted({f: c for f, c in runs}.items(), reverse=True))
+
+
+class TestRunListCompressor:
+    @given(run_lists, st.sampled_from([0.0, 0.001, 0.01, 0.1, 1.0, 10.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_degree_sequence_oracle(self, runs, accuracy):
+        freqs = [f for f, _ in runs]
+        counts = [c for _, c in runs]
+        ds = DegreeSequence(np.array(freqs), np.array(counts))
+        expected = _valid_compress_oracle(ds, accuracy)
+        _assert_same_function(valid_compress_runs(freqs, counts, accuracy), expected)
+        _assert_same_function(valid_compress(ds, accuracy), expected)
+
+    @given(frequency_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_on_column_frequencies(self, freqs):
+        ds = DegreeSequence.from_frequencies(np.array(freqs))
+        _assert_same_function(valid_compress(ds, 0.01), _valid_compress_oracle(ds, 0.01))
+
+    def test_empty_run_list_is_zero(self):
+        assert valid_compress_runs([], [], 0.01).total == 0.0
+
+    def test_identical_run_lists_compress_once(self):
+        compress = RunListCompressor(0.01)
+        first = compress((5, 2), (3, 7))
+        assert compress((5, 2), (3, 7)) is first
+        ds = DegreeSequence(np.array([5, 2]), np.array([3, 7]))
+        assert compress.degree_sequence(ds) is first
+        assert compress((5, 1), (3, 7)) is not first
+        _assert_same_function(first, _valid_compress_oracle(ds, 0.01))
+
+    def test_instances_share_nothing(self):
+        a, b = RunListCompressor(0.01), RunListCompressor(0.01)
+        assert a((4,), (2,)) is not b((4,), (2,))
 
 
 class TestBaselineCompressions:

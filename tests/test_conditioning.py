@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from repro.core.conditioning import (
     ConditioningConfig,
     build_join_column_stats,
+    group_runs,
     max_cds_over_groups,
     pair_group_sequences,
+    prepare_filter_column,
 )
 from repro.core.degree_sequence import DegreeSequence
 from repro.core.predicates import And, Eq, InList, Like, Or, Range
@@ -186,6 +188,45 @@ class TestVectorisedHelpers:
                 )
                 best = max(best, float(sum(vals[:i])))
             assert m(i) >= best - 1e-9
+
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_group_runs_match_per_group_degree_sequences(self, seed, weighted):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        groups = rng.integers(0, 9, n)
+        joins = rng.zipf(1.6, n) % 40
+        weights = rng.integers(1, 5, n) if weighted else None
+        pg, pc, _, _ = pair_group_sequences(groups, joins, weights)
+        got_groups, runs = group_runs(pg, pc)
+        assert got_groups == sorted(set(groups.tolist()))
+        for g, (freqs, counts) in zip(got_groups, runs):
+            rows = groups == g
+            values = np.repeat(joins[rows], weights[rows] if weighted else 1)
+            ds = DegreeSequence.from_column(values)
+            assert freqs == tuple(ds.freqs.tolist())
+            assert counts == tuple(ds.counts.tolist())
+
+    def test_group_runs_empty(self):
+        empty = np.array([], dtype=np.int64)
+        assert group_runs(empty, empty) == ([], [])
+
+    def test_prepared_filter_columns_give_the_same_statistics(self, dataset):
+        """Statistics from a shared preparation equal those built from the
+        raw columns (the serial build prepares once per table)."""
+        join_values, columns, stats = dataset
+        config = ConditioningConfig(mcv_size=30, cds_group_count=8, histogram_levels=4)
+        preps = {name: prepare_filter_column(v, config) for name, v in columns.items()}
+        shared = build_join_column_stats("v", join_values, preps, config)
+        for name in columns:
+            for part in ("equality", "histogram", "trigram"):
+                a = getattr(stats.filters[name], part)
+                b = getattr(shared.filters[name], part)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    for x, y in zip(a.reps, b.reps):
+                        assert x.xs.tobytes() == y.xs.tobytes()
+                        assert x.ys.tobytes() == y.ys.tobytes()
 
     def test_empty_groups(self):
         empty = np.array([], dtype=np.int64)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.conditioning import ConditioningConfig
+from repro.core.serialization import stats_digest
 from repro.core.stats_builder import (
     _pull_dimension_column,
     build_statistics,
     virtual_column_name,
 )
+from repro.workloads import make_imdb, make_stats_db
 
 
 class TestPullDimensionColumn:
@@ -87,3 +89,48 @@ class TestBuildStatistics:
             build_trigrams=False,
         )
         assert without.memory_bytes() < with_tri.memory_bytes()
+
+
+# Digests of fixed builds, recorded from the statistics builder before it
+# shared per-filter-column work and compressed each distinct run list once:
+# the faster build must produce bit-identical statistics.
+PINNED_DIGESTS = {
+    "tiny_default": "8544d1cd7c2e6fb6bf536a3d91fb5da47fcb8e5f5211eb59467ba926e4dd8acf",
+    "tiny_small_groups": "5a8ee685d736efb61a3ac9a2248ce897612df039a8a48e5731b9cd9819e4d32f",
+    "imdb_0.02": "30e6267faa7c3aaff09cc12fe61696e05689ded983edd819cae78d7520fd5eb5",
+    "stats_0.02_tracked": "70c559d45ba509477e02dda1b651d12d3e5d5e6f7dec89575b26eb7b482be06f",
+}
+
+
+def _imdb_stats():
+    return build_statistics(make_imdb(scale=0.02, seed=1))
+
+
+def _stats_ceb_stats():
+    return build_statistics(make_stats_db(scale=0.02, seed=5), track_updates=True)
+
+
+class TestPinnedDigests:
+    def test_tiny_default_config(self, tiny_db):
+        assert stats_digest(build_statistics(tiny_db)) == PINNED_DIGESTS["tiny_default"]
+
+    def test_tiny_small_groups(self, tiny_db):
+        stats = build_statistics(tiny_db, ConditioningConfig(mcv_size=20, cds_group_count=4))
+        assert stats_digest(stats) == PINNED_DIGESTS["tiny_small_groups"]
+
+    def test_stats_ceb_with_update_tracking(self):
+        stats = _stats_ceb_stats()
+        assert stats_digest(stats) == PINNED_DIGESTS["stats_0.02_tracked"]
+        assert all(
+            js.incremental is not None
+            for rel in stats.relations.values()
+            for js in rel.join_stats.values()
+        )
+
+    def test_no_state_carries_between_builds(self):
+        """Database B built right after database A digests exactly as B
+        built alone (the pin came from a fresh process), and A again after
+        B as A alone: nothing a build caches outlives it."""
+        assert stats_digest(_imdb_stats()) == PINNED_DIGESTS["imdb_0.02"]
+        assert stats_digest(_stats_ceb_stats()) == PINNED_DIGESTS["stats_0.02_tracked"]
+        assert stats_digest(_imdb_stats()) == PINNED_DIGESTS["imdb_0.02"]
