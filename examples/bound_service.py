@@ -80,13 +80,13 @@ def main() -> None:
         )
         estimator.build(db)
         v1 = catalog.latest("events_db")
-        print(f"published {v1.label} ({v1.format} format): "
+        print(f"published {v1.label}: "
               f"{v1.file_bytes / 1024:.1f} KiB on disk, "
               f"{v1.num_sequences} sequences, "
               f"digest {v1.metadata['stats_digest'][:12]}…")
-        # The default arena format is a zero-copy mmap: cold starts map it
-        # in O(manifest) time, and every process serving this version
-        # shares the same read-only pages (see `python -m repro.service
+        # The archive is a zero-copy stats arena: cold starts map it in
+        # O(manifest) time, and every process serving this version shares
+        # the same read-only pages (see `python -m repro.service
         # stats-info`).
 
         # 2. Serve concurrent clients through micro-batches.

@@ -71,7 +71,7 @@ def serialization_demo() -> None:
     original_bound = sb.bound(query)
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "safebound_stats.npz")
+        path = os.path.join(tmp, "safebound_stats.sba")
         size = save_stats(sb.stats, path)
         print(f"\nserialisation: wrote {size / 1024:.1f} KiB to disk "
               f"(in-memory estimate: {sb.memory_bytes() / 1024:.1f} KiB)")

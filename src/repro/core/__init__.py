@@ -25,7 +25,7 @@ from .piecewise import (
 from .piecewise import concave_max
 from .predicates import And, Eq, InList, Like, Or, Predicate, Range
 from .safebound import SafeBound, SafeBoundConfig
-from .serialization import load_stats, save_stats, stats_digest, stats_file_bytes
+from .serialization import load_stats, save_stats, stats_digest
 from .stats_builder import ParallelBuildPlan, build_statistics
 from .updates import FrequencyCounter, IncrementalColumnStats, pad_cds
 
@@ -69,7 +69,6 @@ __all__ = [
     "save_stats",
     "load_stats",
     "stats_digest",
-    "stats_file_bytes",
     "FrequencyCounter",
     "IncrementalColumnStats",
     "pad_cds",

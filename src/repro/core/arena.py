@@ -1,19 +1,17 @@
-"""Zero-copy mmap arena for statistics arrays (the v2 stats format).
+"""Zero-copy mmap arena: the on-disk statistics format.
 
-The v1 ``.npz`` archive (core/serialization.py) decompresses every array
-and rebuilds the full ``PiecewiseLinear`` object graph on load — O(store)
-work before the first bound can be served, duplicated in full by every
-process that loads it.  The arena format stores the same content as raw
-little-endian buffers laid out for ``np.memmap``:
+Rebuilding a full ``PiecewiseLinear`` object graph on load would be
+O(store) work before the first bound can be served, duplicated in full by
+every process that loads it.  The arena instead stores the statistics as
+raw little-endian buffers laid out for ``np.memmap``:
 
 * one ragged structure-of-arrays family per array kind — all piecewise
   functions of the store concatenated into a single ``(xs, ys, offsets)``
   triple (exactly the layout ``core.arraykernel.Ragged`` consumes), all
   Bloom bitsets packed into one ``(bits, offsets)`` pair, all histogram
   boundary vectors into one ``(vals, offsets)`` pair;
-* a JSON manifest of slice indices describing the nesting structure
-  (relations -> join columns -> filter families), mirroring the v1
-  manifest with integer slice references in place of array names.
+* a JSON manifest of integer slice indices describing the nesting
+  structure (relations -> join columns -> filter families).
 
 Loading is O(manifest): map the file, parse the header, and hand out
 *views*.  :meth:`StatsArena.pl` builds a ``PiecewiseLinear`` whose
@@ -24,6 +22,9 @@ re-validation — the arrays were validated when the stats were built), and
 read-only, nothing can ever write through it: every mutation path
 (``apply_insert`` padding, recompression) materializes fresh arrays —
 copy-on-write at the Python level, enforced by the OS at the page level.
+Opening a file checks that its header parses and that every array it
+declares lies inside the file, so a truncated arena fails with a
+``ValueError`` at open rather than with an index error at serving time.
 
 File layout::
 
@@ -51,7 +52,6 @@ __all__ = [
     "StatsArena",
     "ArenaBloomFilter",
     "pl_view",
-    "is_arena_file",
     "write_arena",
 ]
 
@@ -134,14 +134,6 @@ def write_arena(path: str, manifest: dict, arrays: dict[str, np.ndarray]) -> int
     return total
 
 
-def is_arena_file(path: str) -> bool:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(len(ARENA_MAGIC)) == ARENA_MAGIC
-    except OSError:
-        return False
-
-
 class StatsArena:
     """A read-only mapping of one arena file.
 
@@ -154,23 +146,33 @@ class StatsArena:
     def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
         self.file_bytes = os.path.getsize(self.path)
+        if self.file_bytes < 16:
+            raise ValueError(f"{self.path!r} is not a stats arena (too short)")
         self._mm = np.memmap(self.path, dtype=np.uint8, mode="r")
         raw = bytes(self._mm[: len(ARENA_MAGIC)])
         if raw != ARENA_MAGIC:
             raise ValueError(f"{self.path!r} is not a stats arena (bad magic)")
         header_len = int.from_bytes(bytes(self._mm[8:16]), "little")
-        header = json.loads(bytes(self._mm[16 : 16 + header_len]).decode())
-        self.manifest: dict = header["manifest"]
-        data_start = _aligned(16 + header_len)
-        self.arrays: dict[str, np.ndarray] = {}
-        for name, spec in header["arrays"].items():
-            dtype = np.dtype(spec["dtype"])
-            lo = data_start + spec["offset"]
-            hi = lo + spec["count"] * dtype.itemsize
-            self.arrays[name] = self._mm[lo:hi].view(dtype)
-        self._pl_ragged = Ragged(
-            self.arrays["pl_xs"], self.arrays["pl_ys"], self.arrays["pl_offsets"]
-        )
+        if header_len <= 0 or 16 + header_len > self.file_bytes:
+            raise ValueError(f"{self.path!r} is truncated (header)")
+        try:
+            header = json.loads(bytes(self._mm[16 : 16 + header_len]).decode())
+            self.manifest: dict = header["manifest"]
+            specs = header["arrays"]
+            data_start = _aligned(16 + header_len)
+            self.arrays: dict[str, np.ndarray] = {}
+            for name, spec in specs.items():
+                dtype = np.dtype(spec["dtype"])
+                lo = data_start + spec["offset"]
+                hi = lo + spec["count"] * dtype.itemsize
+                if hi > self.file_bytes:
+                    raise ValueError(f"{self.path!r} is truncated ({name})")
+                self.arrays[name] = self._mm[lo:hi].view(dtype)
+            self._pl_ragged = Ragged(
+                self.arrays["pl_xs"], self.arrays["pl_ys"], self.arrays["pl_offsets"]
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"{self.path!r} has a malformed header ({exc!r})") from exc
 
     # ------------------------------------------------------------------
     @property

@@ -160,16 +160,15 @@ class SafeBound:
     # ------------------------------------------------------------------
     # Persistence facade (over core/serialization.py)
     # ------------------------------------------------------------------
-    def save(self, path: str, stats_format: str = "v1") -> int:
-        """Serialise the built statistics to ``path``; returns the file
-        size in bytes.  ``stats_format="v1"`` writes the compressed
-        ``.npz`` archive, ``"arena"`` the zero-copy mmap layout that
-        :meth:`load` maps lazily (see ``core/serialization.py``)."""
+    def save(self, path: str) -> int:
+        """Serialise the built statistics to ``path`` as a stats arena
+        that :meth:`load` maps lazily (see ``core/serialization.py``);
+        returns the file size in bytes."""
         if self.stats is None:
             raise RuntimeError("SafeBound.build(db) must run before save()")
         from .serialization import save_stats
 
-        return save_stats(self.stats, path, stats_format=stats_format)
+        return save_stats(self.stats, path)
 
     @classmethod
     def load(
@@ -179,10 +178,9 @@ class SafeBound:
         config: SafeBoundConfig | None = None,
     ) -> "SafeBound":
         """A ready-to-serve SafeBound from statistics written by
-        :meth:`save` in either format (sniffed from the file; arena
-        archives load in O(manifest) time as lazy zero-copy views).  Pass
-        ``db`` to re-attach update tracking (the frequency counters are
-        not serialised)."""
+        :meth:`save` (loaded in O(manifest) time as lazy zero-copy
+        views).  Pass ``db`` to re-attach update tracking (the frequency
+        counters are not serialised)."""
         from .serialization import load_stats
 
         sb = cls(config)

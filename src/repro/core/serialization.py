@@ -2,27 +2,19 @@
 
 The paper compares "the size of the stored statistics file on disk"
 (Sec 5, Metrics).  This module serialises a :class:`SafeBoundStats` store
-in two interchangeable formats:
+as a stats arena (``core/arena.py``): raw little-endian buffers, with
+every relation's piecewise functions concatenated into the ragged
+``(xs, ys, offsets)`` structure-of-arrays the array kernel consumes,
+Bloom bitsets packed into one buffer, histogram boundaries into another,
+and the nesting structure in a JSON manifest of integer slice indices.
+No pickle, so archives are portable and safe to load.
 
-* **v1** — a single ``.npz`` archive: every piecewise-linear function
-  becomes two float arrays, Bloom filters become packed bit arrays, and
-  the nesting structure goes into a JSON manifest.  No pickle, so
-  archives are portable and safe to load.  Loading decompresses and
-  rebuilds the full object graph.
-* **arena** (v2, ``core/arena.py``) — the same content as raw
-  little-endian buffers, with every relation's piecewise functions
-  already concatenated into the ragged ``(xs, ys, offsets)``
-  structure-of-arrays the array kernel consumes.  :func:`load_stats`
-  ``np.memmap``\\ s the file and returns *lazy* statistics whose
-  relations materialise on first access as zero-copy views — O(manifest)
-  load time, and the mapped pages are shared read-only across processes.
-
-:func:`load_stats` sniffs the format from the file magic, so every
-consumer (``SafeBound.load``, the catalog, the server) handles both.
-:func:`stats_digest` is format-independent by construction: it hashes the
-canonical arena-family representation (structural manifest + concatenated
-family buffers) built from the in-memory store, so v1 and arena archives
-of the same statistics — and stores loaded back from either — digest
+:func:`load_stats` ``np.memmap``\\ s the file and returns *lazy*
+statistics whose relations materialise on first access as zero-copy
+views — O(manifest) load time, and the mapped pages are shared read-only
+across processes.  :func:`stats_digest` hashes the same canonical
+representation (structural manifest + concatenated family buffers) built
+from the in-memory store, so a store and its reloaded archive digest
 identically.
 """
 
@@ -30,12 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 
 import numpy as np
 
-from .arena import ArenaBloomFilter, StatsArena, is_arena_file, write_arena
+from .arena import StatsArena, write_arena
 from .bloom import BloomFilter
 from .conditioning import (
     EqualityStats,
@@ -51,65 +42,14 @@ __all__ = [
     "save_stats",
     "save_stats_with_digest",
     "load_stats",
-    "stats_file_bytes",
     "stats_digest",
     "describe_stats_file",
-    "STATS_FORMATS",
 ]
-
-STATS_FORMATS = ("v1", "arena")
-
-
-class _Archive:
-    """Accumulates named arrays plus a JSON manifest (the v1 layout)."""
-
-    def __init__(self) -> None:
-        self.arrays: dict[str, np.ndarray] = {}
-        self.counter = 0
-
-    def put_pl(self, func: PiecewiseLinear) -> str:
-        key = f"pl{self.counter}"
-        self.counter += 1
-        self.arrays[key + "_x"] = func.xs
-        self.arrays[key + "_y"] = func.ys
-        return key
-
-    def get_pl(self, key: str) -> PiecewiseLinear:
-        return PiecewiseLinear(self.arrays[key + "_x"], self.arrays[key + "_y"])
-
-    def put_bloom(self, bloom: BloomFilter) -> dict:
-        key = f"bf{self.counter}"
-        self.counter += 1
-        self.arrays[key] = np.packbits(bloom.bits)
-        return {
-            "bits": key,
-            "num_bits": bloom.num_bits,
-            "num_hashes": bloom.num_hashes,
-            "num_items": bloom.num_items,
-        }
-
-    def get_bloom(self, manifest: dict) -> BloomFilter:
-        bloom = BloomFilter.__new__(BloomFilter)
-        bloom.num_bits = manifest["num_bits"]
-        bloom.num_hashes = manifest["num_hashes"]
-        bloom.num_items = manifest["num_items"]
-        bloom.bits = np.unpackbits(self.arrays[manifest["bits"]])[: bloom.num_bits].astype(bool)
-        return bloom
-
-    def put_boundaries(self, boundaries: np.ndarray) -> str:
-        key = f"hb{self.counter}"
-        self.counter += 1
-        self.arrays[key] = boundaries
-        return key
-
-    def get_boundaries(self, key: str) -> np.ndarray:
-        return self.arrays[key]
 
 
 class _ArenaArchive:
-    """Accumulates the same content as :class:`_Archive`, but into the
-    concatenated ragged families of the arena layout; references are
-    integer slice indices instead of array names."""
+    """Accumulates a store's arrays into the concatenated ragged families
+    of the arena layout; the manifest refers to them by slice index."""
 
     def __init__(self) -> None:
         self.pl_parts: list[tuple[np.ndarray, np.ndarray]] = []
@@ -157,22 +97,6 @@ class _ArenaArchive:
         }
 
 
-class _ArenaReader:
-    """Archive-reader facade over a mapped :class:`StatsArena`."""
-
-    def __init__(self, arena: StatsArena) -> None:
-        self.arena = arena
-
-    def get_pl(self, index: int) -> PiecewiseLinear:
-        return self.arena.pl(index)
-
-    def get_bloom(self, manifest: dict) -> ArenaBloomFilter:
-        return self.arena.bloom(manifest)
-
-    def get_boundaries(self, index: int) -> np.ndarray:
-        return self.arena.boundaries(index)
-
-
 def _encode_value(value):
     """JSON-safe encoding of an MCV key (str / float / None)."""
     if value is None or isinstance(value, (str, int, float, bool)):
@@ -193,10 +117,10 @@ def _dump_equality(eq: EqualityStats, ar) -> dict:
     }
 
 
-def _load_equality(manifest: dict, ar) -> EqualityStats:
+def _load_equality(manifest: dict, arena: StatsArena) -> EqualityStats:
     return EqualityStats(
-        reps=[ar.get_pl(k) for k in manifest["reps"]],
-        default_cds=ar.get_pl(manifest["default"]),
+        reps=[arena.pl(k) for k in manifest["reps"]],
+        default_cds=arena.pl(manifest["default"]),
         value_to_group=(
             None
             if manifest["values"] is None
@@ -205,7 +129,7 @@ def _load_equality(manifest: dict, ar) -> EqualityStats:
         blooms=(
             None
             if manifest["blooms"] is None
-            else [ar.get_bloom(b) for b in manifest["blooms"]]
+            else [arena.bloom(b) for b in manifest["blooms"]]
         ),
     )
 
@@ -220,13 +144,13 @@ def _dump_histogram(hist: HistogramStats, ar) -> dict:
     }
 
 
-def _load_histogram(manifest: dict, ar) -> HistogramStats:
+def _load_histogram(manifest: dict, arena: StatsArena) -> HistogramStats:
     return HistogramStats(
-        boundaries=ar.get_boundaries(manifest["boundaries"]),
+        boundaries=arena.boundaries(manifest["boundaries"]),
         levels=manifest["levels"],
-        reps=[ar.get_pl(k) for k in manifest["reps"]],
+        reps=[arena.pl(k) for k in manifest["reps"]],
         bucket_group={(lvl, b): g for lvl, b, g in manifest["buckets"]},
-        base=ar.get_pl(manifest["base"]),
+        base=arena.pl(manifest["base"]),
     )
 
 
@@ -239,21 +163,20 @@ def _dump_trigram(tri: TrigramStats, ar) -> dict:
     }
 
 
-def _load_trigram(manifest: dict, ar) -> TrigramStats:
+def _load_trigram(manifest: dict, arena: StatsArena) -> TrigramStats:
     return TrigramStats(
-        reps=[ar.get_pl(k) for k in manifest["reps"]],
+        reps=[arena.pl(k) for k in manifest["reps"]],
         gram_to_group={g: i for g, i in manifest["grams"]},
-        no_common_gram_cds=ar.get_pl(manifest["no_common"]),
-        base=ar.get_pl(manifest["base"]),
+        no_common_gram_cds=arena.pl(manifest["no_common"]),
+        base=arena.pl(manifest["base"]),
     )
 
 
-def _build_archive(stats: SafeBoundStats, ar=None):
-    """Walk the store into an archive (v1 by default); the same walk fills
-    an :class:`_ArenaArchive`, so both formats share one code path and one
-    canonical manifest structure."""
-    if ar is None:
-        ar = _Archive()
+def _arena_families(stats: SafeBoundStats) -> tuple[dict, dict[str, np.ndarray]]:
+    """One walk of the store into (manifest, concatenated family buffers)
+    — shared by the arena writer and the digest so a publish never pays
+    serialization twice."""
+    ar = _ArenaArchive()
     manifest: dict = {"build_seconds": stats.build_seconds, "relations": {}}
     for name, rel in stats.relations.items():
         rel_manifest = {
@@ -283,15 +206,17 @@ def _build_archive(stats: SafeBoundStats, ar=None):
                 "pending_inserts": js.pending_inserts,
             }
         manifest["relations"][name] = rel_manifest
-    return ar, manifest
+    return manifest, ar.family_arrays()
 
 
-def _relation_from_manifest(name: str, rel_manifest: dict, ar) -> RelationStats:
-    """Rebuild one relation's statistics from its manifest subtree; shared
-    by the eager v1 loader and the lazy per-relation arena materialiser."""
+def _relation_from_manifest(
+    name: str, rel_manifest: dict, arena: StatsArena
+) -> RelationStats:
+    """Rebuild one relation's statistics from its manifest subtree as
+    zero-copy views into ``arena``."""
     rel = RelationStats(name, rel_manifest["cardinality"])
     rel.fallback_cds = {
-        c: ar.get_pl(k) for c, k in rel_manifest["fallback"].items()
+        c: arena.pl(k) for c, k in rel_manifest["fallback"].items()
     }
     rel.virtual_columns = {
         tuple(k): v for k, v in rel_manifest["virtual"]
@@ -301,18 +226,18 @@ def _relation_from_manifest(name: str, rel_manifest: dict, ar) -> RelationStats:
     for col, js_manifest in rel_manifest["join_stats"].items():
         js = JoinColumnStats(
             column=col,
-            base=ar.get_pl(js_manifest["base"]),
+            base=arena.pl(js_manifest["base"]),
             like_default_mode=js_manifest["like_mode"],
             pending_inserts=js_manifest.get("pending_inserts", 0.0),
         )
         for fcol, f_manifest in js_manifest["filters"].items():
             fstats = FilterColumnStats()
             if f_manifest["eq"] is not None:
-                fstats.equality = _load_equality(f_manifest["eq"], ar)
+                fstats.equality = _load_equality(f_manifest["eq"], arena)
             if f_manifest["hist"] is not None:
-                fstats.histogram = _load_histogram(f_manifest["hist"], ar)
+                fstats.histogram = _load_histogram(f_manifest["hist"], arena)
             if f_manifest["tri"] is not None:
-                fstats.trigram = _load_trigram(f_manifest["tri"], ar)
+                fstats.trigram = _load_trigram(f_manifest["tri"], arena)
             js.filters[fcol] = fstats
         rel.join_stats[col] = js
     return rel
@@ -334,7 +259,7 @@ class _ArenaRelations(dict):
 
     def __init__(self, arena: StatsArena, rel_manifests: dict[str, dict]) -> None:
         super().__init__()
-        self._reader = _ArenaReader(arena)
+        self._arena = arena
         self._pending = dict(rel_manifests)
         self._order = list(rel_manifests)
         self._materialize_lock = threading.Lock()
@@ -344,7 +269,7 @@ class _ArenaRelations(dict):
             if dict.__contains__(self, name):  # lost the materialise race
                 return dict.__getitem__(self, name)
             rel_manifest = self._pending[name]  # KeyError for unknown names
-            rel = _relation_from_manifest(name, rel_manifest, self._reader)
+            rel = _relation_from_manifest(name, rel_manifest, self._arena)
             dict.__setitem__(self, name, rel)
             del self._pending[name]
             return rel
@@ -385,8 +310,8 @@ class _ArenaRelations(dict):
 def _digest_families(manifest: dict, arrays: dict[str, np.ndarray]) -> str:
     """SHA-256 over the canonical (arena-family) representation: the
     zeroed structural manifest plus every family buffer's name, dtype and
-    raw bytes.  A pure function of the store content, so every format —
-    and every load of either format — digests identically."""
+    raw bytes.  A pure function of the store content, so a store and
+    every load of its archive digest identically."""
     zeroed = dict(manifest)
     zeroed["build_seconds"] = 0.0
     h = hashlib.sha256()
@@ -399,59 +324,22 @@ def _digest_families(manifest: dict, arrays: dict[str, np.ndarray]) -> str:
     return h.hexdigest()
 
 
-def _write_archive(ar: _Archive, manifest: dict, path: str) -> int:
-    ar.arrays["__manifest__"] = np.frombuffer(
-        json.dumps(manifest).encode(), dtype=np.uint8
-    ).copy()
-    np.savez_compressed(path, **ar.arrays)
-    real_path = path if path.endswith(".npz") else path + ".npz"
-    return os.path.getsize(real_path)
+def save_stats(stats: SafeBoundStats, path: str) -> int:
+    """Serialise the statistics store as an arena file; returns the file
+    size in bytes."""
+    manifest, arrays = _arena_families(stats)
+    return write_arena(path, manifest, arrays)
 
 
-def _arena_families(stats: SafeBoundStats) -> tuple[dict, dict[str, np.ndarray]]:
-    """One walk of the store into (manifest, concatenated family buffers)
-    — shared by the arena writer and the digest so a publish never pays
-    serialization twice."""
-    ar = _ArenaArchive()
-    _, manifest = _build_archive(stats, ar)
-    return manifest, ar.family_arrays()
-
-
-def save_stats(stats: SafeBoundStats, path: str, stats_format: str = "v1") -> int:
-    """Serialise the statistics store; returns the file size in bytes.
-
-    ``stats_format`` selects the v1 ``.npz`` archive or the zero-copy
-    arena layout (see the module docstring); :func:`load_stats` reads
-    either transparently.
-    """
-    if stats_format not in STATS_FORMATS:
-        raise ValueError(f"stats_format must be one of {STATS_FORMATS}")
-    if stats_format == "arena":
-        manifest, arrays = _arena_families(stats)
-        return write_arena(path, manifest, arrays)
-    ar, manifest = _build_archive(stats)
-    return _write_archive(ar, manifest, path)
-
-
-def save_stats_with_digest(
-    stats: SafeBoundStats, path: str, stats_format: str = "v1"
-) -> tuple[int, str]:
+def save_stats_with_digest(stats: SafeBoundStats, path: str) -> tuple[int, str]:
     """Serialise and digest together — for publishers that want both.
 
-    The digest is the canonical :func:`stats_digest` (computed over the
-    arena-family representation), so v1 and arena archives of the same
-    store record the same digest.  The arena path digests the very walk
-    it writes — one serialization pass per publish; the v1 path pays one
-    extra (cheap, compression-free) walk for the digest.
+    The digest is :func:`stats_digest` of the very walk that is written,
+    so a publish pays one serialization pass.
     """
-    if stats_format not in STATS_FORMATS:
-        raise ValueError(f"stats_format must be one of {STATS_FORMATS}")
-    if stats_format == "arena":
-        manifest, arrays = _arena_families(stats)
-        digest = _digest_families(manifest, arrays)
-        return write_arena(path, manifest, arrays), digest
-    ar, manifest = _build_archive(stats)
-    return _write_archive(ar, manifest, path), stats_digest(stats)
+    manifest, arrays = _arena_families(stats)
+    digest = _digest_families(manifest, arrays)
+    return write_arena(path, manifest, arrays), digest
 
 
 def stats_digest(stats: SafeBoundStats) -> str:
@@ -461,75 +349,40 @@ def stats_digest(stats: SafeBoundStats) -> str:
     manifest plus every concatenated array's raw bytes — except
     ``build_seconds``, which is wall-clock noise, so two builds of equal
     statistics digest equally no matter how long they took or how they
-    were parallelised, and *format-independently*: a store saved as v1
-    or as an arena (or loaded back from either) yields the same digest.
-    This is the bit-identity witness for the sharded parallel build and
-    the format migration, recorded in catalog manifests for provenance.
+    were parallelised, and a store loaded back from its archive digests
+    like the original.  This is the bit-identity witness for the sharded
+    parallel build, recorded in catalog manifests for provenance.
     """
     manifest, arrays = _arena_families(stats)
     return _digest_families(manifest, arrays)
 
 
 def load_stats(path: str) -> SafeBoundStats:
-    """Load a statistics store written by :func:`save_stats`, sniffing
-    the format from the file magic.
+    """Load a statistics store written by :func:`save_stats`.
 
-    v1 archives decompress into a fully materialised object graph.
-    Arena files are mapped zero-copy: the returned store's relations
+    The file is mapped zero-copy: the returned store's relations
     materialise lazily, their piecewise functions are read-only views of
     the mapping, and any later mutation (``apply_insert`` padding,
     recompression) builds fresh private arrays — never writing through
-    the mmap.
+    the mmap.  Raises :class:`ValueError` for a file that is not a
+    complete stats arena (bad magic, torn header, truncated arrays).
     """
-    if is_arena_file(path):
-        arena = StatsArena(path)
-        return SafeBoundStats(
-            relations=_ArenaRelations(arena, arena.manifest["relations"]),
-            build_seconds=arena.manifest["build_seconds"],
-        )
-    with np.load(path) as data:
-        ar = _Archive()
-        ar.arrays = {k: data[k] for k in data.files}
-    manifest = json.loads(bytes(ar.arrays["__manifest__"]).decode())
-    stats = SafeBoundStats(build_seconds=manifest["build_seconds"])
-    for name, rel_manifest in manifest["relations"].items():
-        stats.relations[name] = _relation_from_manifest(name, rel_manifest, ar)
-    return stats
+    arena = StatsArena(path)
+    return SafeBoundStats(
+        relations=_ArenaRelations(arena, arena.manifest["relations"]),
+        build_seconds=arena.manifest["build_seconds"],
+    )
 
 
 def describe_stats_file(path: str) -> dict:
-    """Format, size and array-count metadata of a stats archive on disk —
-    the ``stats-info`` CLI's raw material (paper Fig 8a reports stats
-    memory; this is the serving-side equivalent)."""
-    file_bytes = os.path.getsize(path)
-    if is_arena_file(path):
-        arena = StatsArena(path)
-        return {
-            "format": "arena",
-            "file_bytes": file_bytes,
-            "arrays": len(arena.arrays),
-            "piecewise_functions": arena.num_functions,
-            "bloom_filters": len(arena.arrays["bloom_offsets"]) - 1,
-            "relations": len(arena.manifest["relations"]),
-            "zero_copy": True,
-        }
-    with np.load(path) as data:
-        names = [n for n in data.files if n != "__manifest__"]
-        manifest = json.loads(bytes(data["__manifest__"]).decode())
+    """Size and array-count metadata of a stats archive on disk — the
+    ``stats-info`` CLI's raw material (paper Fig 8a reports stats memory;
+    this is the serving-side equivalent)."""
+    arena = StatsArena(path)
     return {
-        "format": "v1",
-        "file_bytes": file_bytes,
-        "arrays": len(names),
-        "piecewise_functions": sum(1 for n in names if n.endswith("_x")),
-        "bloom_filters": sum(1 for n in names if n.startswith("bf")),
-        "relations": len(manifest["relations"]),
-        "zero_copy": False,
+        "file_bytes": arena.file_bytes,
+        "arrays": len(arena.arrays),
+        "piecewise_functions": arena.num_functions,
+        "bloom_filters": len(arena.arrays["bloom_offsets"]) - 1,
+        "relations": len(arena.manifest["relations"]),
     }
-
-
-def stats_file_bytes(stats: SafeBoundStats) -> int:
-    """On-disk size of the statistics (the paper's Fig 8a metric)."""
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        return save_stats(stats, os.path.join(tmp, "stats.npz"))

@@ -13,18 +13,17 @@ live ingest rounds republishing under load.  The ``client``
 subcommand is the matching multi-process load generator.
 
 The ``stats-info`` subcommand prints a published version's manifest —
-format (v1 / arena), size on disk, array counts, content digest and build
-parallelism (the serving-side counterpart of the paper's Fig 8a memory
-reporting).  The ``explain`` and ``trace`` subcommands are the
-observability CLI (``repro.obs``): per-stage latency breakdown of one
-bound computation, and Chrome-trace export of a traced batch.
+size on disk, array counts, content digest and build parallelism (the
+serving-side counterpart of the paper's Fig 8a memory reporting).  The
+``explain`` and ``trace`` subcommands are the observability CLI
+(``repro.obs``): per-stage latency breakdown of one bound computation,
+and Chrome-trace export of a traced batch.
 
 Examples::
 
     PYTHONPATH=src python -m repro.service
     PYTHONPATH=src python -m repro.service --requests 2000 --concurrency 16
     PYTHONPATH=src python -m repro.service --updates 5 --batch 32
-    PYTHONPATH=src python -m repro.service --stats-format arena
     PYTHONPATH=src python -m repro.service serve --updates 3 &
     PYTHONPATH=src python -m repro.service client --port 7719 --requests 1000
     PYTHONPATH=src python -m repro.service stats-info demo --catalog /tmp/cat
@@ -201,8 +200,8 @@ def fsck(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service fsck",
         description="Detect and repair catalog crash debris: stale publish "
-        "temp files, unreadable (torn) archives, torn manifests, wrong "
-        "generation stamps; prints a JSON repair report",
+        "temp files, unreadable (torn) archives, torn manifests; prints "
+        "a JSON repair report",
     )
     parser.add_argument("--catalog", required=True, help="catalog root directory")
     parser.add_argument("--database", default=None, help="limit to one database")
@@ -231,18 +230,16 @@ def _build_demo_estimator(
     db,
     *,
     eval_kernel: str,
-    stats_format: str,
 ) -> CatalogBackedSafeBound:
     """Build + publish demo statistics; returns the serving estimator."""
     estimator = CatalogBackedSafeBound(
         catalog, "demo",
         SafeBoundConfig(track_updates=True, eval_kernel=eval_kernel),
-        stats_format=stats_format,
     )
     estimator.build(db)
     published = catalog.latest("demo")
     print(
-        f"published {published.label} ({published.format}): "
+        f"published {published.label}: "
         f"{published.file_bytes / 1024:.1f} KiB, "
         f"{published.num_sequences} sequences, built in {published.build_seconds:.2f}s",
         file=sys.stderr,
@@ -277,7 +274,6 @@ def serve(argv: list[str]) -> int:
     parser.add_argument("--wait-ms", type=float, default=2.0, help="max batching wait")
     parser.add_argument("--queue", type=int, default=1024, help="admission queue size")
     parser.add_argument("--eval-kernel", choices=("array", "object"), default="array")
-    parser.add_argument("--stats-format", choices=("arena", "v1"), default="arena")
     parser.add_argument("--catalog", default=None, help="catalog root (default: temp dir)")
     parser.add_argument(
         "--updates", type=int, default=0,
@@ -314,11 +310,7 @@ def serve(argv: list[str]) -> int:
     signal.signal(signal.SIGTERM, lambda *_: (_ for _ in ()).throw(KeyboardInterrupt()))
     try:
         catalog = StatsCatalog(root)
-        estimator = _build_demo_estimator(
-            catalog, db,
-            eval_kernel=args.eval_kernel,
-            stats_format=args.stats_format,
-        )
+        estimator = _build_demo_estimator(catalog, db, eval_kernel=args.eval_kernel)
         ingest = UpdateIngest(db, estimator, republish_overhead=0.05)
         worker = RepublishWorker(ingest, poll_seconds=0.05) if args.updates else None
         server = EstimationServer(
@@ -538,12 +530,6 @@ def main(argv: list[str] | None = None) -> int:
         "piecewise algebra into vectorized kernels)",
     )
     parser.add_argument(
-        "--stats-format", choices=("arena", "v1"), default="arena",
-        help="published archive layout: 'arena' is the zero-copy mmap "
-        "format (O(manifest) load, pages shared across processes), 'v1' "
-        "the compressed .npz object archive",
-    )
-    parser.add_argument(
         "--metrics-json", default=None, metavar="PATH",
         help="periodically rewrite a metrics-snapshot JSON file at this "
         "path while the server runs",
@@ -569,11 +555,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         catalog = StatsCatalog(root)
-        estimator = _build_demo_estimator(
-            catalog, db,
-            eval_kernel=args.eval_kernel,
-            stats_format=args.stats_format,
-        )
+        estimator = _build_demo_estimator(catalog, db, eval_kernel=args.eval_kernel)
         ingest = UpdateIngest(db, estimator, republish_overhead=0.05)
         worker = RepublishWorker(ingest, poll_seconds=0.05) if args.updates else None
         server = EstimationServer(
@@ -600,7 +582,6 @@ def main(argv: list[str] | None = None) -> int:
                 worker.stop()
         report.pop("results")
         report["eval_kernel"] = args.eval_kernel
-        report["stats_format"] = args.stats_format
         report["catalog_versions"] = [v.label for v in catalog.versions("demo")]
         report["served_version"] = estimator.version
         report["staleness"] = round(estimator.staleness(), 4)

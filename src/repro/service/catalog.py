@@ -12,33 +12,31 @@ Layout on disk (one directory per logical database)::
     <root>/
       <database>/
         MANIFEST.json       # ordered version list + build metadata
-        v000001.npz         # v1 save_stats archives, immutable once published
-        v000002.sba         # arena (zero-copy mmap) archives
+        v000001.sba         # stats arenas (save_stats), immutable once published
+        v000002.sba
 
-Versions publish in either stats format (``core/serialization.py``):
-``"arena"`` — the default — writes the zero-copy mmap layout, which loads
-in O(manifest) time and whose pages are shared read-only across every
-process (and every pinned consumer) mapping the same version; ``"v1"``
-keeps the compressed ``.npz`` object archive.  ``load`` sniffs the format
-from the file, and the manifest digest is format-independent, so the two
-interoperate freely within one version history.
+Every version is a stats arena (``core/arena.py``): it loads in
+O(manifest) time, and its pages are shared read-only across every process
+(and every pinned consumer) mapping the same version.  Catalogs written
+with the retired ``.npz`` archives are rebuilt, not migrated: their
+``.npz`` files are not versions of this catalog.
 
 Publishing writes the archive to a temporary name in the same directory,
 ``fsync``s it, and ``os.replace``s it into place, then rewrites the
-manifest (and the generation stamp) the same way, fsyncing the directory
-after each rename — atomic on POSIX *and* durable across a crash, so
-concurrent readers always see either the old or the new catalog state,
-never a torn one.
+manifest the same way, fsyncing the directory after each rename — atomic
+on POSIX *and* durable across a crash, so concurrent readers always see
+either the old or the new catalog state, never a torn one.  The manifest
+is the single commit point: its latest version is the published
+generation.
 
 A crash (or an injected fault — see ``service/faults.py``) can still
 leave debris behind: a stale ``incoming-*`` temp file, an orphan archive
 whose manifest entry was never committed, or — on filesystems without
-atomic rename semantics — a torn manifest or generation stamp.
-:meth:`StatsCatalog.fsck` detects and repairs all of it: temp files are
-removed, unreadable archives are quarantined (moved to ``quarantine/``
-and dropped from the manifest), torn manifests are rebuilt from the
-readable archives on disk, and the generation stamp is re-derived from
-the repaired manifest.  Opening a catalog runs a conservative fsck pass
+atomic rename semantics — a torn manifest.  :meth:`StatsCatalog.fsck`
+detects and repairs all of it: temp files are removed, unreadable
+archives are quarantined (moved to ``quarantine/`` and dropped from the
+manifest), and torn manifests are rebuilt from the readable archives on
+disk.  Opening a catalog runs a conservative fsck pass
 by default (temp files are only removed once they are old enough that no
 live publish can still own them), and torn-manifest reads self-heal
 through the same machinery, so a catalog wedged by a mid-publish crash
@@ -53,14 +51,13 @@ import os
 import re
 import threading
 import time
-import zipfile
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from ..core.arena import ARENA_MAGIC, _aligned
+from ..core.arena import StatsArena
 from ..core.safebound import SafeBound, SafeBoundConfig
-from ..core.serialization import STATS_FORMATS, load_stats, save_stats_with_digest
+from ..core.serialization import load_stats, save_stats_with_digest
 from ..core.stats_builder import SafeBoundStats
 from ..db.database import Database
 from ..db.query import Query
@@ -72,18 +69,12 @@ __all__ = ["StatsVersion", "StatsCatalog", "CatalogBackedSafeBound", "FsckReport
 
 _MANIFEST_NAME = "MANIFEST.json"
 _QUARANTINE_DIR = "quarantine"
-_ARCHIVE_RE = re.compile(r"^v(\d{6})\.(sba|npz)$")
+_ARCHIVE_RE = re.compile(r"^v(\d{6})\.sba$")
 # How old a temp file must be before the *open-time* fsck removes it: a
 # concurrent publish legitimately owns younger ones (it writes
 # ``incoming-*`` / ``*.incoming`` and renames them within moments).  The
 # explicit CLI fsck runs with 0 — the operator asserts nothing is live.
 _STALE_TMP_SECONDS = 60.0
-# The arena-generation stamp published next to the manifest: a tiny file
-# holding the latest version number.  Other processes (or other hosts
-# sharing the catalog over a filesystem) read it as a cheap "did anything
-# publish?" check without parsing the manifest; the serving tier's
-# ``health`` verb reports it.
-_GENERATION_NAME = "GENERATION"
 
 
 def _fsync_file(path: Path) -> None:
@@ -140,34 +131,14 @@ def _tear_archive(path: Path):
 
 
 def _archive_readable(path: Path) -> bool:
-    """Cheaply verify an archive is structurally intact (no data load).
-
-    Arena files are checked header-first: the JSON header must parse and
-    every array it declares must lie within the file — a truncated
-    arena fails the extent check.  v1 ``.npz`` archives are zip files,
-    whose end-of-central-directory check catches truncation.
-    """
+    """Cheaply verify an archive is structurally intact (no data load):
+    :class:`StatsArena` parses the header and checks that every array it
+    declares lies within the file."""
     try:
-        size = path.stat().st_size
-        with open(path, "rb") as fh:
-            magic = fh.read(len(ARENA_MAGIC))
-            if magic == ARENA_MAGIC:
-                fh.seek(8)
-                header_len = int.from_bytes(fh.read(8), "little")
-                if header_len <= 0 or 16 + header_len > size:
-                    return False
-                header = json.loads(fh.read(header_len).decode())
-                data_start = _aligned(16 + header_len)
-                import numpy as np
-
-                for spec in header["arrays"].values():
-                    need = spec["count"] * np.dtype(spec["dtype"]).itemsize
-                    if data_start + spec["offset"] + need > size:
-                        return False
-                return True
-        return zipfile.is_zipfile(str(path))
-    except Exception:
+        StatsArena(path)
+    except (OSError, ValueError):
         return False
+    return True
 
 
 @dataclass
@@ -180,7 +151,6 @@ class FsckReport:
     quarantined: list[str] = field(default_factory=list)
     dropped_versions: list[str] = field(default_factory=list)
     rebuilt_manifests: list[str] = field(default_factory=list)
-    repaired_generations: list[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -189,7 +159,6 @@ class FsckReport:
             or self.quarantined
             or self.dropped_versions
             or self.rebuilt_manifests
-            or self.repaired_generations
         )
 
     def to_dict(self) -> dict:
@@ -201,7 +170,6 @@ class FsckReport:
             "quarantined": self.quarantined,
             "dropped_versions": self.dropped_versions,
             "rebuilt_manifests": self.rebuilt_manifests,
-            "repaired_generations": self.repaired_generations,
         }
 
 
@@ -224,13 +192,16 @@ class StatsVersion:
     num_sequences: int
     note: str = ""
     metadata: dict = field(default_factory=dict)
-    # Stats archive layout; manifests written before the arena format
-    # predate the field, and every such archive is a v1 ``.npz``.
-    format: str = "v1"
 
     @property
     def label(self) -> str:
         return f"v{self.version:06d}"
+
+
+# The manifest keys a StatsVersion is built from; other keys (such as the
+# ``format`` field manifests carried while two archive formats existed)
+# are ignored, so older arena catalogs stay readable.
+_ENTRY_FIELDS = {f.name for f in fields(StatsVersion)} - {"database"}
 
 
 class StatsCatalog:
@@ -302,41 +273,18 @@ class StatsCatalog:
         return entries
 
     def _write_entries(self, database: str, entries: list[dict]) -> None:
-        path = self._manifest_path(database)
         _atomic_write_text(
-            path,
+            self._manifest_path(database),
             json.dumps({"database": database, "versions": entries}, indent=2),
             site="catalog.manifest",
         )
-        # Stamp the generation *after* the manifest: a reader that sees
-        # the new generation is guaranteed to find the version it
-        # advertises already published.
-        self._write_generation(database, entries[-1]["version"] if entries else 0)
-
-    def _generation_path(self, database: str) -> Path:
-        return self._db_dir(database) / _GENERATION_NAME
-
-    def _write_generation(self, database: str, generation: int) -> None:
-        _atomic_write_text(
-            self._generation_path(database), f"{generation}\n", site="catalog.generation"
-        )
 
     def generation(self, database: str) -> int:
-        """The published generation of ``database``: the latest version
-        number, read from the generation stamp (O(one tiny file read),
-        no manifest parse).  Catalogs written before the stamp existed
-        fall back to the manifest; 0 means nothing published."""
-        faults.fire("catalog.generation.read")
-        try:
-            return int(self._generation_path(database).read_text())
-        except FileNotFoundError:
-            entries = self._read_entries(database)
-            return entries[-1]["version"] if entries else 0
-        except ValueError:
-            # A torn/garbage stamp must not wedge serving — fall back to
-            # the manifest, which publish writes atomically.
-            entries = self._read_entries(database)
-            return entries[-1]["version"] if entries else 0
+        """The published generation of ``database``: the manifest's latest
+        version number (0 when nothing is published).  A torn manifest
+        self-heals through :meth:`_read_entries`."""
+        entries = self._read_entries(database)
+        return entries[-1]["version"] if entries else 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -350,7 +298,10 @@ class StatsCatalog:
     def versions(self, database: str) -> list[StatsVersion]:
         with self._lock:
             return [
-                StatsVersion(database=database, **entry)
+                StatsVersion(
+                    database=database,
+                    **{k: v for k, v in entry.items() if k in _ENTRY_FIELDS},
+                )
                 for entry in self._read_entries(database)
             ]
 
@@ -364,31 +315,23 @@ class StatsCatalog:
         stats: SafeBoundStats,
         note: str = "",
         metadata: dict | None = None,
-        stats_format: str = "arena",
     ) -> StatsVersion:
         """Atomically publish ``stats`` as the next version of ``database``.
 
-        ``stats_format`` picks the archive layout (``"arena"`` by default:
-        zero-copy mmap serving).  The manifest entry always records the
-        statistics' *format-independent* content digest — the same store
-        published as v1 and as an arena carries the same digest — plus the
-        format; ``metadata`` adds caller context (e.g. the parallel-build
-        worker and shard configuration that produced the archive).
+        The manifest entry always records the statistics' content digest
+        (``stats_digest``); ``metadata`` adds caller context (e.g. the
+        parallel-build worker and shard configuration that produced the
+        archive).
         """
-        if stats_format not in STATS_FORMATS:
-            raise ValueError(f"stats_format must be one of {STATS_FORMATS}")
         with self._lock:
             directory = self._db_dir(database)
             directory.mkdir(parents=True, exist_ok=True)
             entries = self._read_entries(database)
             version = entries[-1]["version"] + 1 if entries else 1
-            suffix = "sba" if stats_format == "arena" else "npz"
-            filename = f"v{version:06d}.{suffix}"
+            filename = f"v{version:06d}.sba"
             incoming = directory / f"incoming-{filename}"
             faults.fire("catalog.archive.write")
-            file_bytes, digest = save_stats_with_digest(
-                stats, str(incoming), stats_format=stats_format
-            )
+            file_bytes, digest = save_stats_with_digest(stats, str(incoming))
             _fsync_file(incoming)
             faults.fire("catalog.archive.replace")
             os.replace(incoming, directory / filename)
@@ -405,7 +348,6 @@ class StatsCatalog:
                 "build_seconds": stats.build_seconds,
                 "num_sequences": stats.num_sequences(),
                 "note": note,
-                "format": stats_format,
                 "metadata": {"stats_digest": digest, **(metadata or {})},
             }
             self._write_entries(database, entries + [entry])
@@ -515,9 +457,8 @@ class StatsCatalog:
         dropped; readable archives the manifest never committed (a crash
         between archive rename and manifest write) are quarantined too —
         the manifest is the commit point, so an uncommitted publish never
-        retroactively becomes visible; a torn manifest is rebuilt from
-        the readable archives on disk; and the generation stamp is
-        re-derived from the repaired manifest.  All repairs are
+        retroactively becomes visible; and a torn manifest is rebuilt from
+        the readable archives on disk.  All repairs are
         deterministic functions of the on-disk state and are themselves
         atomic whole-file replaces, so concurrent healers converge.
         """
@@ -584,7 +525,6 @@ class StatsCatalog:
                         "build_seconds": 0.0,
                         "num_sequences": 0,
                         "note": "fsck-recovered",
-                        "format": "arena" if filename.endswith(".sba") else "v1",
                         "metadata": {"fsck_recovered": True},
                     }
                 )
@@ -607,18 +547,6 @@ class StatsCatalog:
                     self._loaded.pop((database, version), None)
             if len(kept) != len(entries):
                 self._write_manifest_only(database, kept)
-            entries = kept
-        # 4. Re-derive the generation stamp from the repaired manifest.
-        if self._manifest_path(database).exists():
-            expected = entries[-1]["version"] if entries else 0
-            stamp = self._generation_path(database)
-            try:
-                current = int(stamp.read_text())
-            except (OSError, ValueError):
-                current = None
-            if current != expected:
-                _atomic_write_text(stamp, f"{expected}\n", site="catalog.fsck")
-                report.repaired_generations.append(database)
 
     def _quarantine(
         self, directory: Path, filename: str, report: FsckReport, database: str
@@ -631,8 +559,7 @@ class StatsCatalog:
     def _write_manifest_only(self, database: str, entries: list[dict]) -> None:
         """An fsck repair write: same atomic shape as ``_write_entries``
         but under the ``catalog.fsck`` fault site, so chaos plans tearing
-        publish writes cannot wedge the healer, and without the
-        generation re-stamp (fsck derives that separately)."""
+        publish writes cannot wedge the healer."""
         _atomic_write_text(
             self._manifest_path(database),
             json.dumps({"database": database, "versions": entries}, indent=2),
@@ -669,13 +596,11 @@ class CatalogBackedSafeBound(CardinalityEstimator):
         catalog: StatsCatalog,
         database: str,
         config: SafeBoundConfig | None = None,
-        stats_format: str = "arena",
     ) -> None:
         super().__init__()
         self.catalog = catalog
         self.database = database
         self.config = config or SafeBoundConfig()
-        self.stats_format = stats_format
         self._lock = threading.Lock()
         # Serialises whole build/refresh cycles (publish-check, pin, swap,
         # unpin).  Without it, two concurrent refreshes both pin the new
@@ -721,7 +646,6 @@ class CatalogBackedSafeBound(CardinalityEstimator):
                 sb.stats,
                 note="build",
                 metadata=self.build_metadata(),
-                stats_format=self.stats_format,
             )
             with self._lock:
                 self._safebound = sb
@@ -778,7 +702,7 @@ class CatalogBackedSafeBound(CardinalityEstimator):
 
     def generation(self) -> int:
         """The catalog's published generation for this database (the
-        latest version number; one tiny file read)."""
+        manifest's latest version number)."""
         return self.catalog.generation(self.database)
 
     def _ensure_tracking(self, db: Database | None) -> None:

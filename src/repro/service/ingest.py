@@ -136,7 +136,6 @@ class UpdateIngest:
                 fresh.stats,
                 note=note,
                 metadata=estimator.build_metadata(),
-                stats_format=estimator.stats_format,
             )
             # Swap through the catalog (round-tripping the archive) so the
             # served statistics are exactly what a cold start would load.

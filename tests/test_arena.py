@@ -1,10 +1,10 @@
-"""The zero-copy arena stats format (core/arena.py + serialization v2).
+"""The zero-copy arena stats format (core/arena.py + serialization).
 
 Covers the format contract end to end: bit-identical bounds against the
-v1 archive and the in-memory build, O(manifest) lazy loading, read-only
-mmap views (mutation is copy-on-write, never write-through), the
-format-independent content digest, the array kernel's direct-from-arena
-batch packing, and the golden corpus served from arena-backed stats.
+in-memory build, O(manifest) lazy loading, read-only mmap views
+(mutation is copy-on-write, never write-through), the content digest of
+a reloaded store, the array kernel's direct-from-arena batch packing,
+and the golden corpus served from arena-backed stats.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import arraykernel as ak
-from repro.core.arena import ArenaBloomFilter, StatsArena, is_arena_file
+from repro.core.arena import ArenaBloomFilter, StatsArena
 from repro.core.predicates import And, Eq, Like, Range
 from repro.core.safebound import SafeBound, SafeBoundConfig
 from repro.core.serialization import (
@@ -37,7 +37,7 @@ def built(tiny_db):
 @pytest.fixture(scope="module")
 def arena_path(built, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("arena") / "stats.sba")
-    save_stats(built.stats, path, stats_format="arena")
+    save_stats(built.stats, path)
     return path
 
 
@@ -62,17 +62,16 @@ def _file_sha(path: str) -> str:
 
 
 class TestRoundTrip:
-    def test_bounds_bit_identical_to_build_and_v1(self, built, arena_path, tmp_path):
-        v1_path = str(tmp_path / "stats.npz")
-        save_stats(built.stats, v1_path)
-        sb_v1 = SafeBound(built.config)
-        sb_v1.stats = load_stats(v1_path)
+    def test_bounds_bit_identical_to_build(self, built, arena_path):
         sb_arena = SafeBound(built.config)
         sb_arena.stats = load_stats(arena_path)
         for q in _queries():
-            direct = built.bound(q)
-            assert sb_v1.bound(q) == direct  # exact, not approx
-            assert sb_arena.bound(q) == direct
+            assert sb_arena.bound(q) == built.bound(q)  # exact, not approx
+
+    def test_digest_identical_after_reload(self, built, arena_path):
+        """One store, two representations (in-memory, arena-loaded), one
+        digest."""
+        assert stats_digest(load_stats(arena_path)) == stats_digest(built.stats)
 
     def test_structure_preserved(self, built, arena_path):
         reloaded = load_stats(arena_path)
@@ -94,29 +93,25 @@ class TestRoundTrip:
         queries = _queries()
         assert sb_obj.estimate_batch(queries) == sb_arr.estimate_batch(queries)
 
-    def test_describe_stats_file(self, built, arena_path, tmp_path):
-        v1_path = str(tmp_path / "d.npz")
-        save_stats(built.stats, v1_path)
-        v1_info = describe_stats_file(v1_path)
-        arena_info = describe_stats_file(arena_path)
-        assert v1_info["format"] == "v1" and not v1_info["zero_copy"]
-        assert arena_info["format"] == "arena" and arena_info["zero_copy"]
-        # Same logical content: identical function / bloom / relation counts.
-        for key in ("piecewise_functions", "bloom_filters", "relations"):
-            assert v1_info[key] == arena_info[key]
-
-    def test_save_rejects_unknown_format(self, built, tmp_path):
-        with pytest.raises(ValueError):
-            save_stats(built.stats, str(tmp_path / "x"), stats_format="v7")
+    def test_describe_stats_file(self, built, arena_path):
+        info = describe_stats_file(arena_path)
+        arena = StatsArena(arena_path)
+        assert info["file_bytes"] == arena.file_bytes > 0
+        assert info["arrays"] == len(arena.arrays)
+        assert info["piecewise_functions"] == arena.num_functions > 0
+        assert info["bloom_filters"] > 0
+        assert info["relations"] == len(built.stats.relations)
 
 
 class TestZeroCopy:
-    def test_magic_sniffing(self, arena_path, built, tmp_path):
-        v1_path = str(tmp_path / "stats.npz")
-        save_stats(built.stats, v1_path)
-        assert is_arena_file(arena_path)
-        assert not is_arena_file(v1_path)
-        assert not is_arena_file(str(tmp_path / "missing.sba"))
+    def test_magic_sniffing(self, arena_path, tmp_path):
+        assert StatsArena(arena_path).manifest["relations"]
+        other = tmp_path / "stats.npz"
+        other.write_bytes(b"PK\x03\x04" + b"\x00" * 60)  # a zip, not an arena
+        with pytest.raises(ValueError, match="bad magic"):
+            load_stats(str(other))
+        with pytest.raises(FileNotFoundError):
+            load_stats(str(tmp_path / "missing.sba"))
 
     def test_lazy_relation_materialization(self, arena_path):
         stats = load_stats(arena_path)
@@ -177,13 +172,10 @@ class TestZeroCopy:
         assert isinstance(arena, StatsArena)
         assert np.array_equal(arena.pl(index).xs, base.xs)
 
-    def test_bloom_filters_lazy_and_equivalent(self, built, arena_path, tmp_path):
-        v1_path = str(tmp_path / "stats.npz")
-        save_stats(built.stats, v1_path)
-        v1 = load_stats(v1_path)
+    def test_bloom_filters_lazy_and_equivalent(self, built, arena_path):
         arena = load_stats(arena_path)
         checked = 0
-        for name, rel in v1.relations.items():
+        for name, rel in built.stats.relations.items():
             rel2 = arena.relations[name]
             for col, js in rel.join_stats.items():
                 for fcol, fstats in js.filters.items():
@@ -217,15 +209,16 @@ class TestCopyOnWrite:
             assert np.isfinite(sb.bound(q))
         assert _file_sha(arena_path) == before
 
-    def test_mutated_arena_stats_match_mutated_v1_stats(self, tiny_db, built, tmp_path):
-        """The same mutation stream over arena- and v1-loaded twins of one
-        archive yields bit-identical bounds (the lazy view mode changes
-        representation, never semantics)."""
-        v1_path = str(tmp_path / "twin.npz")
+    def test_mutated_arena_stats_match_mutated_in_memory_stats(self, tiny_db, tmp_path):
+        """The same mutation stream over an in-memory build and its
+        arena-loaded twin yields bit-identical bounds (the lazy view mode
+        changes representation, never semantics)."""
+        in_memory = SafeBound()
+        in_memory.build(tiny_db)
         arena_p = str(tmp_path / "twin.sba")
-        built.save(v1_path)
-        built.save(arena_p, stats_format="arena")
-        twins = [SafeBound.load(v1_path, tiny_db), SafeBound.load(arena_p, tiny_db)]
+        in_memory.save(arena_p)
+        in_memory.attach_update_tracking(tiny_db)
+        twins = [in_memory, SafeBound.load(arena_p, tiny_db)]
         rows = {
             "id": np.arange(800000, 800060),
             "dim_id": np.arange(60) % 300,
@@ -255,7 +248,7 @@ class TestCopyOnWrite:
             "name": np.array(["zeta"], dtype=object),
         })
         path = str(tmp_path / "pending.sba")
-        sb.save(path, stats_format="arena")
+        sb.save(path)
         reloaded = SafeBound.load(path)
         fact = reloaded.stats.relations["fact"]
         assert fact.pending_inserts == 50
@@ -266,20 +259,8 @@ class TestCopyOnWrite:
         # A second round trip (save the lazily loaded store again) is
         # stable: the mapped views re-serialise losslessly.
         again = str(tmp_path / "pending2.sba")
-        save_stats(reloaded.stats, again, stats_format="arena")
+        save_stats(reloaded.stats, again)
         assert stats_digest(load_stats(again)) == stats_digest(sb.stats)
-
-
-class TestDigestFormatIndependence:
-    def test_digest_identical_across_formats(self, built, arena_path, tmp_path):
-        """The satellite bugfix contract: one store, three representations
-        (in-memory, v1-loaded, arena-loaded), one digest."""
-        v1_path = str(tmp_path / "stats.npz")
-        save_stats(built.stats, v1_path)
-        d_mem = stats_digest(built.stats)
-        d_v1 = stats_digest(load_stats(v1_path))
-        d_arena = stats_digest(load_stats(arena_path))
-        assert d_mem == d_v1 == d_arena
 
 
 class TestKernelPacking:
@@ -324,7 +305,7 @@ class TestGoldenCorpusViaArena:
         sb = SafeBound(SafeBoundConfig())
         sb.build(workload.db)
         path = str(tmp_path / "golden.sba")
-        sb.save(path, stats_format="arena")
+        sb.save(path)
         served = SafeBound.load(path)
         bounds = served.estimate_batch(workload.queries)
         fresh = {q.name: float(b).hex() for q, b in zip(workload.queries, bounds)}

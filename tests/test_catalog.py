@@ -44,47 +44,48 @@ class TestStatsCatalog:
         published = catalog.publish("db1", built.stats, note="initial")
         assert published.version == 1
         assert published.label == "v000001"
-        assert published.format == "arena"
         assert (tmp_path / "db1" / "v000001.sba").exists()
         manifest = json.loads((tmp_path / "db1" / "MANIFEST.json").read_text())
         assert [e["version"] for e in manifest["versions"]] == [1]
         assert manifest["versions"][0]["note"] == "initial"
         assert manifest["versions"][0]["file_bytes"] > 0
-        assert manifest["versions"][0]["format"] == "arena"
         assert manifest["versions"][0]["num_sequences"] == built.stats.num_sequences()
 
     def test_publish_leaves_no_temporaries(self, built, tmp_path):
         catalog = StatsCatalog(tmp_path)
         catalog.publish("db1", built.stats)
-        catalog.publish("db1", built.stats, stats_format="v1")
+        catalog.publish("db1", built.stats)
         names = {p.name for p in (tmp_path / "db1").iterdir()}
-        assert names == {"MANIFEST.json", "GENERATION", "v000001.sba", "v000002.npz"}
+        assert names == {"MANIFEST.json", "v000001.sba", "v000002.sba"}
 
-    def test_publish_formats_interoperate_with_identical_digest(
-        self, built, tiny_db, tmp_path
-    ):
-        """One version history can mix v1 and arena archives; the recorded
-        content digest is format-independent, and both load back to
-        bit-identical bounds."""
+    def test_publish_records_content_digest(self, built, tmp_path):
+        """Every version records the statistics' content digest, and loads
+        back to bit-identical bounds."""
         from repro.core.serialization import stats_digest
 
         catalog = StatsCatalog(tmp_path)
-        v1 = catalog.publish("db1", built.stats, stats_format="v1")
-        v2 = catalog.publish("db1", built.stats, stats_format="arena")
-        assert v1.format == "v1" and v1.filename.endswith(".npz")
-        assert v2.format == "arena" and v2.filename.endswith(".sba")
+        v1 = catalog.publish("db1", built.stats)
+        v2 = catalog.publish("db1", built.stats)
         digest = stats_digest(built.stats)
         assert v1.metadata["stats_digest"] == digest
         assert v2.metadata["stats_digest"] == digest
         for version in (1, 2):
             sb = SafeBound(built.config)
             sb.stats = catalog.load("db1", version, fresh=True)
+            assert stats_digest(sb.stats) == digest
             for q in _queries():
                 assert sb.bound(q) == built.bound(q)
 
-    def test_publish_rejects_unknown_format(self, built, tmp_path):
-        with pytest.raises(ValueError):
-            StatsCatalog(tmp_path).publish("db1", built.stats, stats_format="v3")
+    def test_reads_manifests_with_retired_format_field(self, built, tmp_path):
+        """Manifests written while a second archive format existed carry a
+        ``format`` field per entry; they stay readable."""
+        catalog = StatsCatalog(tmp_path)
+        catalog.publish("db1", built.stats)
+        path = tmp_path / "db1" / "MANIFEST.json"
+        manifest = json.loads(path.read_text())
+        manifest["versions"][0]["format"] = "arena"
+        path.write_text(json.dumps(manifest))
+        assert [v.version for v in StatsCatalog(tmp_path).versions("db1")] == [1]
 
     def test_version_info_and_archive_path(self, built, tmp_path):
         catalog = StatsCatalog(tmp_path)
@@ -239,6 +240,23 @@ class TestCatalogBackedSafeBound:
         for q in _queries():
             assert estimator.estimate(q) == built.bound(q)
 
+    def test_refresh_rejects_truncated_archive(self, tiny_db, built, tmp_path):
+        """Regression: a truncated published arena used to be hot-swapped
+        in, after which every estimate failed with an IndexError.  Now the
+        open fails with a ValueError and the old version keeps serving."""
+        catalog = StatsCatalog(tmp_path)
+        estimator = CatalogBackedSafeBound(catalog, "tiny")
+        estimator.build(tiny_db)
+        before = estimator.estimate_batch(_queries())
+        published = catalog.publish("tiny", built.stats, note="rebuild")
+        path = catalog.archive_path(published)
+        with open(path, "rb+") as fh:
+            fh.truncate(path.stat().st_size - 64)
+        with pytest.raises(ValueError, match="truncated"):
+            estimator.refresh()
+        assert estimator.version == 1
+        assert estimator.estimate_batch(_queries()) == before
+
     def test_refresh_serves_private_copy(self, tiny_db, tmp_path):
         """Regression: the estimator used to serve (and mutate!) the
         catalog's shared cached stats — its apply_insert would alias into
@@ -337,26 +355,15 @@ class TestCatalogBackedSafeBound:
             assert record.estimate >= record.true_cardinality * (1 - 1e-9)
 
 
-class TestGenerationStamp:
-    """The published-generation stamp (GENERATION file)."""
+class TestGeneration:
+    """The published generation: the manifest's latest version."""
 
-    def test_publish_writes_generation_stamp(self, built, tmp_path):
+    def test_generation_is_latest_manifest_version(self, built, tmp_path):
         catalog = StatsCatalog(tmp_path)
         assert catalog.generation("db1") == 0  # nothing published
         catalog.publish("db1", built.stats)
-        assert (tmp_path / "db1" / "GENERATION").read_text().strip() == "1"
         assert catalog.generation("db1") == 1
         catalog.publish("db1", built.stats)
-        assert catalog.generation("db1") == 2
-
-    def test_generation_falls_back_to_manifest(self, built, tmp_path):
-        """Catalogs written before the stamp existed (or with a torn
-        stamp) must still answer from the manifest."""
-        catalog = StatsCatalog(tmp_path)
-        catalog.publish("db1", built.stats)
-        catalog.publish("db1", built.stats)
-        stamp = tmp_path / "db1" / "GENERATION"
-        stamp.unlink()
-        assert catalog.generation("db1") == 2
-        stamp.write_text("not a number")
-        assert catalog.generation("db1") == 2
+        assert catalog.generation("db1") == 2 == catalog.latest("db1").version
+        estimator = CatalogBackedSafeBound(catalog, "db1")
+        assert estimator.generation() == 2

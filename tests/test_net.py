@@ -234,8 +234,12 @@ class TestNetServer:
         with NetClient(*net.address) as client:
             assert client.bound_batch(queries) == [built.bound(q) for q in queries]
 
-    def test_health_and_metrics_verbs(self, net):
+    def test_health_and_metrics_verbs(self, built, net):
         with NetClient(*net.address) as client:
+            # Send a request first: the module-scoped server may not have
+            # served one yet when this test runs alone or shuffled.
+            query = _queries()[0]
+            assert client.bound(query) == built.bound(query)
             health = client.health()
             assert health["status"] == "ok"
             assert isinstance(health["pid"], int)
@@ -574,3 +578,4 @@ class TestCrossProcessHotSwap:
                     health = client.health()
                     assert health["version"] == 1
                     assert health["generation"] == 1
+                    assert health["generation"] == catalog.latest("live").version

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.arena import StatsArena
 from repro.core.predicates import Eq, Like, Range
 from repro.core.safebound import SafeBound, SafeBoundConfig
 from repro.core.serialization import load_stats, save_stats, stats_digest
@@ -142,18 +143,16 @@ class TestBitIdenticalBuilds:
         self, nasty_db, serial_stats, tmp_path
     ):
         parallel = build_statistics(nasty_db, num_workers=3, shard_rows=311, pool="thread")
-        serial_path = tmp_path / "serial.npz"
-        parallel_path = tmp_path / "parallel.npz"
+        serial_path = tmp_path / "serial.sba"
+        parallel_path = tmp_path / "parallel.sba"
         save_stats(serial_stats, str(serial_path))
         save_stats(parallel, str(parallel_path))
-        with np.load(serial_path, allow_pickle=False) as a, np.load(
-            parallel_path, allow_pickle=False
-        ) as b:
-            assert a.files == b.files
-            for key in a.files:
-                if key == "__manifest__":
-                    continue
-                assert a[key].tobytes() == b[key].tobytes(), key
+        a, b = StatsArena(str(serial_path)), StatsArena(str(parallel_path))
+        assert list(a.arrays) == list(b.arrays)
+        for key in a.arrays:
+            assert a.arrays[key].dtype == b.arrays[key].dtype, key
+            assert a.arrays[key].tobytes() == b.arrays[key].tobytes(), key
+        assert {**a.manifest, "build_seconds": 0} == {**b.manifest, "build_seconds": 0}
         assert stats_digest(load_stats(str(parallel_path))) == stats_digest(
             load_stats(str(serial_path))
         )

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.conditioning import ConditioningConfig
 from repro.core.predicates import And, Eq, Like, Range
 from repro.core.safebound import SafeBound, SafeBoundConfig
-from repro.core.serialization import load_stats, save_stats, stats_file_bytes
+from repro.core.serialization import load_stats, save_stats
 from repro.db.query import Query
 
 
@@ -33,7 +35,7 @@ def _queries():
 
 class TestRoundTrip:
     def test_bounds_identical_after_reload(self, built, tiny_db, tmp_path):
-        path = str(tmp_path / "stats.npz")
+        path = str(tmp_path / "stats.sba")
         size = save_stats(built.stats, path)
         assert size > 0
         reloaded = load_stats(path)
@@ -43,7 +45,7 @@ class TestRoundTrip:
             assert sb2.bound(q) == pytest.approx(built.bound(q), rel=1e-9)
 
     def test_structure_preserved(self, built, tmp_path):
-        path = str(tmp_path / "stats.npz")
+        path = str(tmp_path / "stats.sba")
         save_stats(built.stats, path)
         reloaded = load_stats(path)
         assert set(reloaded.relations) == set(built.stats.relations)
@@ -55,7 +57,7 @@ class TestRoundTrip:
             assert rel2.virtual_columns == rel.virtual_columns
 
     def test_bloom_filters_survive(self, built, tmp_path):
-        path = str(tmp_path / "stats.npz")
+        path = str(tmp_path / "stats.sba")
         save_stats(built.stats, path)
         reloaded = load_stats(path)
         for name, rel in reloaded.relations.items():
@@ -71,16 +73,30 @@ class TestRoundTrip:
             SafeBoundConfig(conditioning=ConditioningConfig(use_bloom_filters=False, mcv_size=10))
         )
         sb.build(tiny_db)
-        path = str(tmp_path / "stats.npz")
+        path = str(tmp_path / "stats.sba")
         save_stats(sb.stats, path)
         sb2 = SafeBound(sb.config)
         sb2.stats = load_stats(path)
         for q in _queries():
             assert sb2.bound(q) == pytest.approx(sb.bound(q), rel=1e-9)
 
-    def test_file_size_metric(self, built):
-        size = stats_file_bytes(built.stats)
+    def test_file_size_metric(self, built, tmp_path):
+        path = str(tmp_path / "stats.sba")
+        size = save_stats(built.stats, path)
+        assert size == os.path.getsize(path)
         assert 0 < size < 10 * 1024 * 1024
+
+    @pytest.mark.parametrize("cut", [1, 64, "header"])
+    def test_truncated_archive_raises_value_error(self, built, tmp_path, cut):
+        """A truncated arena is rejected when opened, never served: the
+        extent check runs in ``StatsArena`` itself."""
+        path = tmp_path / "stats.sba"
+        size = save_stats(built.stats, str(path))
+        keep = 24 if cut == "header" else size - cut
+        with open(path, "rb+") as fh:
+            fh.truncate(keep)
+        with pytest.raises(ValueError, match="truncated"):
+            load_stats(str(path))
 
 
 class TestFacade:
@@ -88,7 +104,7 @@ class TestFacade:
     core/serialization.py."""
 
     def test_build_save_load_bound_bit_identical(self, built, tiny_db, tmp_path):
-        path = str(tmp_path / "facade.npz")
+        path = str(tmp_path / "facade.sba")
         size = built.save(path)
         assert size > 0
         reloaded = SafeBound.load(path, tiny_db, built.config)
@@ -100,7 +116,7 @@ class TestFacade:
                 assert js.incremental is not None
 
     def test_load_without_db_serves_but_cannot_track(self, built, tmp_path):
-        path = str(tmp_path / "facade.npz")
+        path = str(tmp_path / "facade.sba")
         built.save(path)
         reloaded = SafeBound.load(path)
         for q in _queries():
@@ -111,7 +127,7 @@ class TestFacade:
 
     def test_save_unbuilt_raises(self, tmp_path):
         with pytest.raises(RuntimeError):
-            SafeBound().save(str(tmp_path / "nope.npz"))
+            SafeBound().save(str(tmp_path / "nope.sba"))
 
     def test_load_with_pending_inserts_reattaches_soundly(self, tmp_path):
         """Regression: adopting the (stale) build-time base CDS unpadded
@@ -143,7 +159,7 @@ class TestFacade:
         db.tables["fact"] = Table("fact", {
             k: np.concatenate((db.table("fact").column(k), hot[k])) for k in hot
         })
-        path = str(tmp_path / "midcycle.npz")
+        path = str(tmp_path / "midcycle.sba")
         sb.save(path)
         reloaded = SafeBound.load(path, db)
         js = reloaded.stats.relations["fact"].join_stats["dim_id"]
@@ -170,7 +186,7 @@ class TestFacade:
             "kind": np.array([0]),
             "name": np.array(["zeta"], dtype=object),
         })
-        path = str(tmp_path / "pending.npz")
+        path = str(tmp_path / "pending.sba")
         sb.save(path)
         reloaded = SafeBound.load(path)
         fact = reloaded.stats.relations["fact"]
