@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 
 from repro.core.conditioning import ConditionedRelation, condition_relations_batch
-from repro.core.safebound import SafeBound, SafeBoundConfig
+from repro.core.safebound import SafeBound
 from repro.workloads import make_imdb, make_job_light, make_stats_ceb
 
 COND_SNAPSHOT_PATH = (
@@ -97,7 +97,7 @@ def workloads():
 def estimators(workloads):
     out = {}
     for name, wl in workloads.items():
-        sb = SafeBound(SafeBoundConfig(eval_kernel="array"))
+        sb = SafeBound()
         sb.build(wl.db)
         out[name] = sb
     return out

@@ -1,11 +1,16 @@
 """Online bound-evaluation benchmark: object kernel vs the vectorized
 array-program kernel on stats-CEB batch estimation.
 
+``FdsbEngine`` picks a kernel by batch size; each side is pinned here
+through the engine's thresholds (0 for the array kernels, ``math.inf`` —
+a size no batch reaches — for the object path).
+
 Two things are measured and snapshotted into ``BENCH_eval.json``:
 
 * **bit-identity** — the array kernel's bounds must equal the object
   kernel's exactly (the tentpole guarantee, asserted unconditionally and
-  locked down further by tests/test_array_kernel.py);
+  locked down further by tests/test_array_kernel.py), and the object side
+  must run no batched kernel;
 * **batch-estimation speedup** — at the default configuration the array
   kernel's median warm ``estimate_batch`` wall-clock must be at least 3x
   faster.  The speedup comes from lowering the per-object piecewise
@@ -21,6 +26,7 @@ snapshot is only refreshed at the default configuration.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 import time
@@ -28,7 +34,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.safebound import SafeBound, SafeBoundConfig
+from repro.core.safebound import SafeBound
+from repro.obs.metrics import metrics_installed
 from repro.workloads import make_stats_ceb
 
 EVAL_SNAPSHOT_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_eval.json"
@@ -43,10 +50,13 @@ REPETITIONS = 7
 @pytest.fixture(scope="module")
 def eval_setup():
     workload = make_stats_ceb(scale=SCALE, num_queries=NUM_QUERIES, seed=5)
-    array_sb = SafeBound(SafeBoundConfig(eval_kernel="array"))
+    array_sb = SafeBound()
     array_sb.build(workload.db)
-    object_sb = SafeBound(SafeBoundConfig(eval_kernel="object"))
+    object_sb = SafeBound()
     object_sb.stats = array_sb.stats  # shared statistics, different kernel
+    for sb, threshold in ((array_sb, 0), (object_sb, math.inf)):
+        sb._engine.array_min_work = threshold
+        sb._engine.array_min_condition = threshold
     return workload, array_sb, object_sb
 
 
@@ -64,7 +74,11 @@ def test_eval_kernel_speedup_and_identity(eval_setup, show):
     workload, array_sb, object_sb = eval_setup
     queries = workload.queries
 
-    object_seconds, object_bounds = _median_batch_seconds(object_sb, queries)
+    with metrics_installed() as registry:
+        object_seconds, object_bounds = _median_batch_seconds(object_sb, queries)
+    snap = registry.snapshot()
+    for counter in ("bound.array_queries", "conditioning.batched_pairs", "conditioning.truncations"):
+        assert snap.get(counter, 0) == 0, f"object side ran a batched kernel: {counter}"
     array_seconds, array_bounds = _median_batch_seconds(array_sb, queries)
 
     assert array_bounds == object_bounds, "array kernel diverged from object kernel"

@@ -32,7 +32,7 @@ import time
 
 import numpy as np
 
-from repro.core.safebound import SafeBound, SafeBoundConfig
+from repro.core.safebound import SafeBound
 from repro.obs.metrics import MetricsRegistry, inc, metrics_installed
 from repro.obs.tracing import Tracer, span, tracing_installed
 from repro.service import faults
@@ -89,7 +89,7 @@ def _disabled_fault_site_seconds() -> float:
 
 def test_disabled_overhead_under_floor(show):
     wl = make_stats_ceb(scale=SCALE, num_queries=NUM_QUERIES, seed=5)
-    sb = SafeBound(SafeBoundConfig(eval_kernel="array"))
+    sb = SafeBound()
     sb.build(wl.db)
     queries = wl.queries
 

@@ -28,8 +28,9 @@ segmented searchsorted reproduces binary-search index semantics exactly,
 and segmented sums use the same ``np.add.reduceat`` (strict left-to-right)
 as ``PiecewiseConstant.integral``.  The differential suite
 (tests/test_array_kernel.py) asserts exact float equality of bounds
-against the object kernel on every bundled workload; the object path stays
-available as the oracle via ``SafeBoundConfig.eval_kernel = "object"``.
+against the object kernel on every bundled workload.  The object path
+stays in ``core/bound.py``: ``FdsbEngine`` sends small batches to it by
+size, and an engine whose thresholds no batch reaches is the oracle.
 
 The one sequential-in-points exception is the concave-envelope hull scan,
 whose tolerance-based pops are order-dependent; it is vectorized across

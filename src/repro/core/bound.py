@@ -205,15 +205,16 @@ class FdsbEngine:
         queries; the bound is the minimum over the trees seen.
     skeleton_cache_size:
         Capacity of the LRU cache of compiled query skeletons.
-    eval_kernel:
-        ``"array"`` evaluates batches through the vectorized array-program
-        engine (``core.arraykernel``); ``"object"`` keeps the per-object
-        piecewise recursion.  The two are bit-identical (enforced by
-        tests/test_array_kernel.py) — the object path is the differential
-        oracle, the array path the serving default.
+
+    Batches are evaluated by one of two bit-identical kernels, picked by
+    batch size: the vectorized array-program engine
+    (``core.arraykernel``) for large batches, the per-object piecewise
+    recursion for small ones.  The object recursion is also the
+    differential oracle (tests/test_array_kernel.py): thresholds no batch
+    can reach (``math.inf``) pin an engine to it, thresholds of 0 pin it
+    to the array engine.
     """
 
-    EVAL_KERNELS = ("object", "array")
     # Minimum batch "work" (sum over items of plans x edges) for the array
     # kernel to pay off: below it, per-batch fixed costs (packing, program
     # setup, kernel-call scheduling) outweigh the vectorization win — the
@@ -227,20 +228,16 @@ class FdsbEngine:
     # minimum number of cache-missing (table, effective predicate) pairs in
     # a batch for SafeBound._prepare_conditioning to run the CSE'd batched
     # conditioning kernels; below it, the per-object path (which fills the
-    # same caches with the same values) has lower fixed cost.  Only
-    # consulted when ``eval_kernel == "array"``.
+    # same caches with the same values) has lower fixed cost.  The same
+    # floor gates the batched truncation of conditioned join columns.
     ARRAY_MIN_CONDITION = 2
 
     def __init__(
         self,
         max_spanning_trees: int = 64,
         skeleton_cache_size: int = 4096,
-        eval_kernel: str = "array",
     ) -> None:
-        if eval_kernel not in self.EVAL_KERNELS:
-            raise ValueError(f"eval_kernel must be one of {self.EVAL_KERNELS}")
         self.max_spanning_trees = max_spanning_trees
-        self.eval_kernel = eval_kernel
         self.array_min_work = self.ARRAY_MIN_WORK
         self.array_min_condition = self.ARRAY_MIN_CONDITION
         self._skeletons = LRUCache(skeleton_cache_size)
@@ -343,20 +340,17 @@ class FdsbEngine:
         """Upper bounds for a heterogeneous batch of compiled queries.
 
         Each item is ``(skeleton, column_cds, alias_cardinality)`` as for
-        :meth:`bound_compiled`.  With ``eval_kernel="array"`` the whole
-        batch — every query, spanning-tree plan and skeleton — is lowered
-        into one array program and evaluated in shared segmented kernel
-        calls; identical query instantiations (same conditioned CDSs and
-        cardinalities, the common case for a serving micro-batch) are
-        deduplicated.  With ``eval_kernel="object"`` each item runs the
-        per-object recursion.  Both kernels return bit-identical bounds.
-
-        Dispatch is cost-based: batches below ``array_min_work`` (sum of
-        plans x edges — planner-DP-sized traffic) stay on the object path,
-        whose per-call overhead is lower; set ``array_min_work = 0`` to
-        force the array engine.
+        :meth:`bound_compiled`.  Both kernels return bit-identical bounds,
+        so dispatch is by cost alone.  A batch whose work (sum of plans x
+        edges) reaches ``array_min_work`` is lowered — every query,
+        spanning-tree plan and skeleton — into one array program and
+        evaluated in shared segmented kernel calls; identical query
+        instantiations (same conditioned CDSs and cardinalities, the
+        common case for a serving micro-batch) are deduplicated.  Smaller
+        batches (planner-DP-sized traffic) run the per-object recursion,
+        whose per-call overhead is lower.
         """
-        if self.eval_kernel == "array" and (
+        if (
             sum(
                 len(skeleton.plans) * max(len(skeleton.edges), 1)
                 for skeleton, _, _ in items

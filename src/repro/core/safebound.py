@@ -36,12 +36,6 @@ class SafeBoundConfig:
     precompute_pk_joins: bool = True
     build_trigrams: bool = True
     max_spanning_trees: int = 64
-    # Online bound-evaluation kernel: "array" lowers every batch into the
-    # vectorized array-program engine (core/arraykernel.py); "object" runs
-    # the per-object piecewise recursion.  Bit-identical (enforced by the
-    # differential suite in tests/test_array_kernel.py); "object" is kept
-    # as the oracle and for debugging.
-    eval_kernel: str = "array"
     # Online-phase cache capacities (LRU-evicted).
     conditioning_cache_entries: int = 50_000
     skeleton_cache_entries: int = 4096
@@ -51,14 +45,10 @@ class SafeBoundConfig:
     track_updates: bool = False
     # Offline-build parallelism (see core.stats_builder.ParallelBuildPlan).
     # ``build_workers > 1`` shards every table's rows and builds partial
-    # statistics in a worker pool; the result is bit-identical to the
-    # serial build.  The pool defaults to threads because SafeBound.build
-    # also runs inside serving processes (RepublishWorker), where forking
-    # a multithreaded server is unsafe; offline tools that want full
-    # multi-core scaling should set ``build_pool="process"``.
+    # statistics in a thread pool; the result is bit-identical to the
+    # serial build.
     build_workers: int = 0
     build_shard_rows: int | None = None
-    build_pool: str = "thread"
 
 
 def _rewrite_predicate(
@@ -116,7 +106,6 @@ class SafeBound:
         self._engine = FdsbEngine(
             self.config.max_spanning_trees,
             self.config.skeleton_cache_entries,
-            eval_kernel=self.config.eval_kernel,
         )
         # (epoch, table, repr(effective predicate)) -> ConditionedRelation.
         # The optimizer's DP estimates every connected subquery, and aliases
@@ -142,7 +131,6 @@ class SafeBound:
             track_updates=self.config.track_updates,
             num_workers=self.config.build_workers,
             shard_rows=self.config.build_shard_rows,
-            pool=self.config.build_pool,
         )
         self._db = db
         self._invalidate_conditioning()
@@ -274,18 +262,21 @@ class SafeBound:
             return self._engine.bound_batch_compiled(items)
 
     def _prepare_conditioning(self, prepared) -> None:
-        """Array-kernel warm-up: batch-condition every (table, effective
-        predicate) pair the batch needs that the conditioning cache does
-        not hold, then batch-truncate the requested join columns.
+        """Batched conditioning ahead of ``_query_inputs``: condition every
+        (table, effective predicate) pair the batch needs that the
+        conditioning cache does not hold, then truncate the requested join
+        columns, each stage in one CSE'd kernel schedule instead of
+        per-alias Python loops.
 
-        One CSE'd kernel schedule conditions the whole batch instead of
-        per-alias Python loops, and results land in the conditioning LRU
-        before ``_query_inputs`` reads them back.  Purely a latency move: the
-        kernels are bit-identical twins of the object ops, so skipping
-        this method — the object kernel does — changes no bound.
+        Results land in the conditioning LRU (and the conditioned
+        relations' truncation caches) before ``_query_inputs`` reads them
+        back.  A stage with fewer than the engine's ``array_min_condition``
+        items is skipped, and ``_query_inputs`` does its work on the object
+        path, whose fixed cost is lower.  Purely a latency move: the
+        kernels are bit-identical twins of the object ops, so skipping a
+        stage changes no bound.
         """
-        if self._engine.eval_kernel != "array":
-            return
+        floor = max(self._engine.array_min_condition, 1)
         with _span("conditioning.prepare") as sp:
             missing: dict[tuple, tuple[str, Predicate | None]] = {}
             for query, _, effective in prepared:
@@ -294,12 +285,12 @@ class SafeBound:
                     cache_key = (self._stats_epoch, tname, repr(predicate))
                     if cache_key not in missing and cache_key not in self._conditioning_cache:
                         missing[cache_key] = (tname, predicate)
-            # Each missing key is a logical conditioning-cache miss that the
-            # prefetch is about to fill; count it so the counters read the
-            # same as the object path's lookup-then-insert sequence.
-            self._conditioning_cache.misses += len(missing)
-            _metric_inc("conditioning.lru_miss", len(missing))
-            if len(missing) >= max(self._engine.array_min_condition, 1):
+            if len(missing) >= floor:
+                # Each missing key is a logical conditioning-cache miss that
+                # the prefetch fills; count it so the counters read the
+                # same as the object path's lookup-then-insert sequence.
+                self._conditioning_cache.misses += len(missing)
+                _metric_inc("conditioning.lru_miss", len(missing))
                 _metric_inc("conditioning.computed", len(missing))
                 pairs = [(self.stats.relations[t], p) for t, p in missing.values()]
                 for cache_key, conditioned in zip(
@@ -322,7 +313,7 @@ class SafeBound:
                             seen.add(rid)
                             requests.append((conditioned, col))
             sp.set(missing=len(missing), truncations=len(requests))
-            if requests:
+            if len(requests) >= floor:
                 fill_truncations_batch(requests)
 
     def _query_inputs(
@@ -348,6 +339,7 @@ class SafeBound:
         _metric_inc("conditioning.lookups")
 
         def compute() -> ConditionedRelation:
+            _metric_inc("conditioning.lru_miss")
             _metric_inc("conditioning.computed")
             return ConditionedRelation(self.stats.relations[tname], predicate)
 

@@ -14,14 +14,8 @@ cross-join correlation assumption.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,14 +234,14 @@ class SafeBoundStats:
 
 @dataclass(frozen=True)
 class ParallelBuildPlan:
-    """How the offline phase is distributed over a worker pool.
+    """How the offline phase is distributed over a thread pool.
 
     ``num_workers <= 1`` means the serial reference build.  ``shard_rows``
     is the row-shard size (``None`` derives roughly two shards per worker,
-    floored so tiny tables stay single-shard).  ``pool`` selects
-    process-based workers (true parallelism, the default) or thread-based
-    workers (cheaper startup, useful when the build is dominated by
-    GIL-releasing numpy kernels or the data is too large to pickle).
+    floored so tiny tables stay single-shard).  Threads share the
+    database without copying it, much of the build's numpy work releases
+    the GIL, and threads are safe inside a multithreaded serving process
+    (``RepublishWorker`` rebuilds there), where forking is not.
 
     Shard geometry never changes the output: partials merge into the same
     counters for any split, so the built statistics are bit-identical to a
@@ -256,13 +250,8 @@ class ParallelBuildPlan:
 
     num_workers: int = 0
     shard_rows: int | None = None
-    pool: str = "process"
 
     MIN_SHARD_ROWS = 1024
-
-    def __post_init__(self) -> None:
-        if self.pool not in ("process", "thread"):
-            raise ValueError(f"unknown pool kind: {self.pool!r}")
 
     @property
     def parallel(self) -> bool:
@@ -281,14 +270,6 @@ class ParallelBuildPlan:
             return [(0, 0)]
         size = self.effective_shard_rows(num_rows)
         return [(lo, min(lo + size, num_rows)) for lo in range(0, num_rows, size)]
-
-    def make_executor(self) -> Executor:
-        if self.pool == "thread":
-            return ThreadPoolExecutor(max_workers=self.num_workers)
-        ctx = None
-        if "fork" in multiprocessing.get_all_start_methods():
-            ctx = multiprocessing.get_context("fork")
-        return ProcessPoolExecutor(max_workers=self.num_workers, mp_context=ctx)
 
 
 def _collect_filter_columns(
@@ -355,7 +336,6 @@ def build_statistics(
     track_updates: bool = False,
     num_workers: int = 0,
     shard_rows: int | None = None,
-    pool: str = "process",
 ) -> SafeBoundStats:
     """Run SafeBound's offline phase over every table of the database.
 
@@ -365,12 +345,12 @@ def build_statistics(
 
     ``num_workers > 1`` switches to the sharded parallel pipeline (see
     :class:`ParallelBuildPlan`): rows are split into shards, per-shard
-    partial statistics are built in a worker pool, merged deterministically,
+    partial statistics are built in a thread pool, merged deterministically,
     and compressed/clustered per join-column family — producing statistics
     bit-identical to the serial build.
     """
     config = config or ConditioningConfig()
-    plan = ParallelBuildPlan(num_workers=num_workers, shard_rows=shard_rows, pool=pool)
+    plan = ParallelBuildPlan(num_workers=num_workers, shard_rows=shard_rows)
     if plan.parallel:
         return _build_statistics_parallel(
             db, config, precompute_pk_joins, build_trigrams, track_updates, plan
@@ -420,7 +400,7 @@ def _build_statistics_parallel(
     track_updates: bool,
     plan: ParallelBuildPlan,
 ) -> SafeBoundStats:
-    """The sharded pipeline: extract partials per shard in the worker pool,
+    """The sharded pipeline: extract partials per shard in the thread pool,
     merge them per table in shard order, then run compression/clustering on
     the merged counters — finalize tasks also fan out to the pool.
 
@@ -435,7 +415,7 @@ def _build_statistics_parallel(
     shard_meta: dict[str, int] = {}
     tables: dict[str, Table] = {}
 
-    with plan.make_executor() as executor:
+    with ThreadPoolExecutor(max_workers=plan.num_workers) as executor:
         shard_futures = {}
         for name, tschema in db.schema.tables.items():
             if name not in db:

@@ -96,10 +96,6 @@ class SuiteConfig:
     # parallel build is bit-identical, so results never depend on these).
     build_workers: int = 0
     build_shard_rows: int | None = None
-    build_pool: str = "thread"
-    # Online bound-evaluation kernel ("array" | "object"); bit-identical,
-    # so results never depend on it either — only planning wall-clock does.
-    eval_kernel: str = "array"
 
 
 def default_estimators(
@@ -107,8 +103,6 @@ def default_estimators(
     safebound_factory=None,
     build_workers: int = 0,
     build_shard_rows: int | None = None,
-    build_pool: str = "thread",
-    eval_kernel: str = "array",
 ) -> dict:
     """Factories for every compared system.
 
@@ -127,8 +121,6 @@ def default_estimators(
             SafeBoundConfig(
                 build_workers=build_workers,
                 build_shard_rows=build_shard_rows,
-                build_pool=build_pool,
-                eval_kernel=eval_kernel,
             )
         )
 
@@ -172,8 +164,6 @@ def run_end_to_end(
         config.methods,
         build_workers=config.build_workers,
         build_shard_rows=config.build_shard_rows,
-        build_pool=config.build_pool,
-        eval_kernel=config.eval_kernel,
     )
     return run_suite(workloads, factories, indexes_enabled=indexes_enabled)
 

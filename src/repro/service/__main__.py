@@ -138,7 +138,7 @@ def stats_info(argv: list[str]) -> int:
         "stats_digest": entry.metadata.get("stats_digest"),
         "build_parallelism": {
             k: entry.metadata[k]
-            for k in ("build_workers", "build_shard_rows", "build_pool")
+            for k in ("build_workers", "build_shard_rows")
             if k in entry.metadata
         },
         **describe_stats_file(str(path)),
@@ -225,16 +225,18 @@ def fsck(argv: list[str]) -> int:
     return 0
 
 
-def _build_demo_estimator(
-    catalog: StatsCatalog,
-    db,
-    *,
-    eval_kernel: str,
-) -> CatalogBackedSafeBound:
+def _positive_int(text: str) -> int:
+    """argparse type for sizes that must be at least 1."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _build_demo_estimator(catalog: StatsCatalog, db) -> CatalogBackedSafeBound:
     """Build + publish demo statistics; returns the serving estimator."""
     estimator = CatalogBackedSafeBound(
-        catalog, "demo",
-        SafeBoundConfig(track_updates=True, eval_kernel=eval_kernel),
+        catalog, "demo", SafeBoundConfig(track_updates=True)
     )
     estimator.build(db)
     published = catalog.latest("demo")
@@ -270,10 +272,9 @@ def serve(argv: list[str]) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    parser.add_argument("--batch", type=int, default=64, help="max micro-batch size")
+    parser.add_argument("--batch", type=_positive_int, default=64, help="max micro-batch size")
     parser.add_argument("--wait-ms", type=float, default=2.0, help="max batching wait")
-    parser.add_argument("--queue", type=int, default=1024, help="admission queue size")
-    parser.add_argument("--eval-kernel", choices=("array", "object"), default="array")
+    parser.add_argument("--queue", type=_positive_int, default=1024, help="admission queue size")
     parser.add_argument("--catalog", default=None, help="catalog root (default: temp dir)")
     parser.add_argument(
         "--updates", type=int, default=0,
@@ -310,7 +311,7 @@ def serve(argv: list[str]) -> int:
     signal.signal(signal.SIGTERM, lambda *_: (_ for _ in ()).throw(KeyboardInterrupt()))
     try:
         catalog = StatsCatalog(root)
-        estimator = _build_demo_estimator(catalog, db, eval_kernel=args.eval_kernel)
+        estimator = _build_demo_estimator(catalog, db)
         ingest = UpdateIngest(db, estimator, republish_overhead=0.05)
         worker = RepublishWorker(ingest, poll_seconds=0.05) if args.updates else None
         server = EstimationServer(
@@ -516,19 +517,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--requests", type=int, default=500, help="load-generator requests")
     parser.add_argument("--concurrency", type=int, default=8, help="client threads")
-    parser.add_argument("--batch", type=int, default=64, help="max micro-batch size")
+    parser.add_argument("--batch", type=_positive_int, default=64, help="max micro-batch size")
     parser.add_argument("--wait-ms", type=float, default=2.0, help="max batching wait")
-    parser.add_argument("--queue", type=int, default=1024, help="admission-control queue size")
+    parser.add_argument("--queue", type=_positive_int, default=1024, help="admission-control queue size")
     parser.add_argument(
         "--updates", type=int, default=0,
         help="insert/delete rounds streamed through live ingest during the run",
     )
     parser.add_argument("--catalog", default=None, help="catalog root (default: temp dir)")
-    parser.add_argument(
-        "--eval-kernel", choices=("array", "object"), default="array",
-        help="bound-evaluation kernel (bit-identical; 'array' batches the "
-        "piecewise algebra into vectorized kernels)",
-    )
     parser.add_argument(
         "--metrics-json", default=None, metavar="PATH",
         help="periodically rewrite a metrics-snapshot JSON file at this "
@@ -555,7 +551,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         catalog = StatsCatalog(root)
-        estimator = _build_demo_estimator(catalog, db, eval_kernel=args.eval_kernel)
+        estimator = _build_demo_estimator(catalog, db)
         ingest = UpdateIngest(db, estimator, republish_overhead=0.05)
         worker = RepublishWorker(ingest, poll_seconds=0.05) if args.updates else None
         server = EstimationServer(
@@ -581,7 +577,6 @@ def main(argv: list[str] | None = None) -> int:
             if worker is not None:
                 worker.stop()
         report.pop("results")
-        report["eval_kernel"] = args.eval_kernel
         report["catalog_versions"] = [v.label for v in catalog.versions("demo")]
         report["served_version"] = estimator.version
         report["staleness"] = round(estimator.staleness(), 4)

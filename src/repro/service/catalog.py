@@ -660,7 +660,6 @@ class CatalogBackedSafeBound(CardinalityEstimator):
         return {
             "build_workers": self.config.build_workers,
             "build_shard_rows": self.config.build_shard_rows,
-            "build_pool": self.config.build_pool,
             "inserts_applied": self.inserts_applied,
         }
 

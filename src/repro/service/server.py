@@ -90,6 +90,10 @@ class EstimationServer:
     ) -> None:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
+        # queue.Queue(maxsize=0) is unbounded: it would turn admission
+        # control off instead of rejecting everything.
+        if max_queue <= 0:
+            raise ValueError("max_queue must be positive")
         self.estimator = estimator
         self.max_batch = max_batch
         self.max_wait_seconds = max_wait_ms / 1000.0

@@ -8,9 +8,11 @@ reordering of floating-point operations is a bug this suite must catch.
 
 Three layers of coverage:
 
-* workload differential: ``estimate_batch`` under both kernels on
-  stats-CEB, JOB-light, JOB-light-ranges and TPC-H sample workloads
-  (shared statistics, exact equality per query);
+* workload differential: ``estimate_batch`` pinned to each side of the
+  engine's size-based dispatch (``kernel_oracle``) on stats-CEB,
+  JOB-light, JOB-light-ranges and TPC-H sample workloads (shared
+  statistics, exact equality per query; the object side must never run
+  a batched kernel);
 * the server path: an ``EstimationServer`` micro-batching an array-kernel
   estimator returns exactly the object kernel's bounds;
 * op-level hypothesis differential: every batched kernel against its
@@ -20,15 +22,21 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_oracle import array_side, object_path_only, object_side
 
 from repro.core import arraykernel as ak
 from repro.core import piecewise as pw
 from repro.core.bound import FdsbEngine
-from repro.core.safebound import SafeBound, SafeBoundConfig
+from repro.core.predicates import Eq
+from repro.core.safebound import SafeBound
+from repro.db.query import Query
+from repro.obs.metrics import metrics_installed
 from repro.service.server import EstimationServer
 from repro.workloads import (
     make_job_light,
@@ -51,9 +59,9 @@ def exact_equal(obj_func, ragged: ak.Ragged, i: int) -> None:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def workload_pairs(small_imdb, small_stats):
-    """(workload, array-kernel SafeBound, object-kernel SafeBound) per
+    """(workload, array-side SafeBound, object-side SafeBound) per
     bundled workload generator; statistics built once and shared, so the
-    two estimators differ *only* in the evaluation kernel."""
+    two estimators differ *only* in their dispatch thresholds."""
     from repro.workloads import make_tpch_db
 
     stats_wl = make_stats_ceb(db=small_stats, num_queries=30, seed=7)
@@ -71,14 +79,12 @@ def workload_pairs(small_imdb, small_stats):
     ):
         arr = built.get(id(wl.db))
         if arr is None:
-            arr = SafeBound(SafeBoundConfig(eval_kernel="array"))
+            # Every test below exercises the array engine, batch size
+            # notwithstanding.
+            arr = array_side(SafeBound())
             arr.build(wl.db)
-            # Disable the cost-based small-batch dispatch so every test
-            # below exercises the array engine, batch size notwithstanding.
-            arr._engine.array_min_work = 0
-            arr._engine.array_min_condition = 0
             built[id(wl.db)] = arr
-        obj = SafeBound(SafeBoundConfig(eval_kernel="object"))
+        obj = object_side(SafeBound())
         obj.stats = arr.stats  # the load()-style attach: same statistics
         pairs[key] = (wl, arr, obj)
     return pairs
@@ -91,7 +97,8 @@ class TestWorkloadDifferential:
     def test_estimate_batch_bit_identical(self, workload_pairs, name):
         wl, arr, obj = workload_pairs[name]
         a = arr.estimate_batch(wl.queries)
-        o = obj.estimate_batch(wl.queries)
+        with object_path_only():
+            o = obj.estimate_batch(wl.queries)
         assert len(a) == len(wl.queries)
         for qi, (ab, ob) in enumerate(zip(a, o)):
             assert ab == ob, f"{name} query {wl.queries[qi].name}: {ab!r} != {ob!r}"
@@ -99,12 +106,15 @@ class TestWorkloadDifferential:
     def test_single_bound_matches_batch(self, workload_pairs, name):
         wl, arr, obj = workload_pairs[name]
         batch = arr.estimate_batch(wl.queries[:5])
-        for q, b in zip(wl.queries[:5], batch):
-            assert arr.bound(q) == b == obj.bound(q)
+        with object_path_only():
+            singles = [obj.bound(q) for q in wl.queries[:5]]
+        for q, b, o in zip(wl.queries[:5], batch, singles):
+            assert arr.bound(q) == b == o
 
     def test_server_path_bit_identical(self, workload_pairs, name):
         wl, arr, obj = workload_pairs[name]
-        expected = obj.estimate_batch(wl.queries)
+        with object_path_only():
+            expected = obj.estimate_batch(wl.queries)
         with EstimationServer(arr, max_batch=8, max_wait_ms=1.0) as server:
             futures = [server.submit(q) for q in wl.queries]
             served = [f.result(30.0) for f in futures]
@@ -127,7 +137,8 @@ def test_duplicate_queries_dedupe_to_same_bounds(workload_pairs):
     wl, arr, obj = workload_pairs["JOB-Light"]
     tripled = [q for q in wl.queries for _ in range(3)]
     bounds = arr.estimate_batch(tripled)
-    expected = obj.estimate_batch(wl.queries)
+    with object_path_only():
+        expected = obj.estimate_batch(wl.queries)
     for i, q in enumerate(wl.queries):
         assert bounds[3 * i] == bounds[3 * i + 1] == bounds[3 * i + 2] == expected[i]
 
@@ -140,11 +151,10 @@ def test_conditioning_cache_cold_and_warm_bit_identical(workload_pairs, name):
     equal cold (every pair conditioned by the batch kernels) and warm
     (every pair a cache hit, nothing recomputed)."""
     wl, arr, obj = workload_pairs[name]
-    sc = SafeBound(SafeBoundConfig(eval_kernel="array"))
+    sc = array_side(SafeBound())
     sc.stats = arr.stats
-    sc._engine.array_min_work = 0
-    sc._engine.array_min_condition = 0
-    expected = obj.estimate_batch(wl.queries)
+    with object_path_only():
+        expected = obj.estimate_batch(wl.queries)
     assert sc.estimate_batch(wl.queries) == expected  # cold: fills the LRU
     cold = sc.conditioning_cache_stats()
     assert cold["misses"] > 0
@@ -154,9 +164,57 @@ def test_conditioning_cache_cold_and_warm_bit_identical(workload_pairs, name):
     assert warm["hits"] > cold["hits"]
 
 
-def test_eval_kernel_validation():
-    with pytest.raises(ValueError):
-        FdsbEngine(eval_kernel="simd")
+def test_object_side_truncates_on_the_object_path(tiny_db):
+    """A conditioned relation cached by one query and reused by the next
+    on another join column still gets that column truncated by the object
+    path on the oracle side, never by the batched truncation kernel."""
+    arr = array_side(SafeBound())
+    arr.build(tiny_db)
+    obj = object_side(SafeBound())
+    obj.stats = arr.stats
+    score = Eq("score", 3)
+    alone = Query().add_relation("f", "fact").add_predicate("f", score)
+    # ``tag`` is not a declared join column: its fallback CDS counts every
+    # row, so the single-table bound of ``fact`` under ``score`` cuts it.
+    joined = (
+        Query()
+        .add_relation("f", "fact")
+        .add_relation("g", "fact2")
+        .add_join("f", "tag", "g", "tag")
+        .add_predicate("f", score)
+    )
+    with object_path_only():
+        bounds = [obj.bound(alone), obj.bound(joined)]
+    with metrics_installed() as registry:
+        assert arr.estimate_batch([alone, joined]) == bounds
+    assert registry.snapshot()["conditioning.truncations"] > 0
+
+
+def test_default_dispatch_picks_kernel_by_batch_size(workload_pairs):
+    """With the shipped thresholds a one-query batch stays on the object
+    path and a large batch runs the array kernels, with the same bounds."""
+    wl, arr, _ = workload_pairs["STATS-CEB"]
+    sb = SafeBound()
+    sb.stats = arr.stats
+
+    def work(query):
+        skeleton = sb._engine.compile(query)
+        return len(skeleton.plans) * max(len(skeleton.edges), 1)
+
+    small = min(wl.queries, key=work)
+    assert work(small) < FdsbEngine.ARRAY_MIN_WORK <= sum(map(work, wl.queries))
+    with metrics_installed() as registry:
+        single = sb.bound(small)
+    snap = registry.snapshot()
+    assert snap["bound.object_queries"] == 1
+    assert snap.get("bound.array_queries", 0) == 0
+    with metrics_installed() as registry:
+        batch = sb.estimate_batch(wl.queries)
+    snap = registry.snapshot()
+    assert snap["bound.array_queries"] == len(wl.queries)
+    assert snap.get("bound.object_queries", 0) == 0
+    assert batch[wl.queries.index(small)] == single
+    assert batch == arr.estimate_batch(wl.queries)
 
 
 # ----------------------------------------------------------------------
@@ -315,8 +373,6 @@ class TestOpEdgeCases:
         # including cross products, where the object path breaks out of the
         # root product at the first zero (the array path must replicate the
         # break, not multiply 0 by a possibly-infinite later factor).
-        from repro.db.query import Query
-
         cds = {
             ("a", "x"): pw.PiecewiseLinear(np.array([0.0, 3.0]), np.array([0.0, 9.0])),
             ("b", "x"): pw.PiecewiseLinear(np.array([0.0, 2.0]), np.array([0.0, 0.0])),
@@ -324,9 +380,9 @@ class TestOpEdgeCases:
         q = Query().add_relation("a", "A").add_relation("b", "B")
         q.add_join("a", "x", "b", "x")
         lone = Query().add_relation("a", "A").add_relation("c", "C")
-        for kernel in ("object", "array"):
-            engine = FdsbEngine(eval_kernel=kernel)
-            engine.array_min_work = 0
+        for min_work in (math.inf, 0):  # object path, then array kernels
+            engine = FdsbEngine()
+            engine.array_min_work = min_work
             skeleton = engine.compile(q)
             items = [(skeleton, cds, {"a": 9.0, "b": 0.0})]
             assert engine.bound_batch_compiled(items) == [0.0]

@@ -87,6 +87,29 @@ class TestStatsCatalog:
         path.write_text(json.dumps(manifest))
         assert [v.version for v in StatsCatalog(tmp_path).versions("db1")] == [1]
 
+    def test_stats_info_reads_manifests_with_retired_build_pool(
+        self, built, tmp_path, capsys
+    ):
+        """Versions published while the build offered a process pool carry
+        a ``build_pool`` metadata key; they stay readable and loadable, and
+        new publishes no longer write the key."""
+        from repro.service.__main__ import stats_info
+
+        catalog = StatsCatalog(tmp_path)
+        catalog.publish(
+            "db1",
+            built.stats,
+            metadata={"build_workers": 4, "build_shard_rows": None, "build_pool": "process"},
+        )
+        assert stats_info(["db1", "--catalog", str(tmp_path)]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info["build_parallelism"] == {"build_workers": 4, "build_shard_rows": None}
+        sb = SafeBound(built.config)
+        sb.stats = catalog.load("db1", 1, fresh=True)
+        for q in _queries():
+            assert sb.bound(q) == built.bound(q)
+        assert "build_pool" not in CatalogBackedSafeBound(catalog, "db1").build_metadata()
+
     def test_version_info_and_archive_path(self, built, tmp_path):
         catalog = StatsCatalog(tmp_path)
         catalog.publish("db1", built.stats, note="first")

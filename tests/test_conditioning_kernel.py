@@ -37,7 +37,7 @@ from repro.core.conditioning import (
     fill_truncations_batch,
 )
 from repro.core.predicates import And, Eq, InList, Like, Or, Range
-from repro.core.safebound import SafeBound, SafeBoundConfig
+from repro.core.safebound import SafeBound
 
 
 def exact_pl_equal(a: pw.PiecewiseLinear, b: pw.PiecewiseLinear) -> None:
@@ -145,7 +145,7 @@ PREDICATES = [
 
 @pytest.fixture(scope="module")
 def tiny_stats(tiny_db):
-    sb = SafeBound(SafeBoundConfig(eval_kernel="array"))
+    sb = SafeBound()
     sb.build(tiny_db)
     return sb.stats
 

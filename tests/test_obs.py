@@ -17,8 +17,9 @@ import time
 
 import numpy as np
 import pytest
+from kernel_oracle import array_side
 
-from repro.core.safebound import SafeBound, SafeBoundConfig
+from repro.core.safebound import SafeBound
 from repro.db.query import Query
 from repro.core.predicates import Eq, Range
 from repro.obs import (
@@ -269,9 +270,8 @@ class TestInstrumentedPipeline:
         assert traced == baseline
 
     def test_array_path_kernel_counters(self, tiny_db):
-        sb = SafeBound(SafeBoundConfig(eval_kernel="array"))
+        sb = array_side(SafeBound())  # the array path for any batch size
         sb.build(tiny_db)
-        sb._engine.array_min_work = 0  # force the array path for any size
         with metrics_installed() as registry:
             sb.bound_batch(_queries())
         snap = registry.snapshot()

@@ -1,8 +1,7 @@
 """Differential tests: the sharded parallel build must be bit-identical
 to the serial reference build — same serialized statistics (witnessed by
 ``stats_digest`` over every array byte and the structural manifest) and
-therefore identical bounds — for any worker count, shard size or pool
-kind.  The fixture database deliberately includes the hard cases: dangling
+therefore identical bounds — for any worker count or shard size.  The fixture database deliberately includes the hard cases: dangling
 foreign keys (NaN / None virtual columns), low- and high-cardinality
 string columns, skewed joins, and a join column that collapses under
 ``np.unique`` NaN semantics."""
@@ -111,10 +110,6 @@ class TestParallelBuildPlan:
         plan = ParallelBuildPlan(num_workers=4)
         assert len(plan.shards(80_000)) == 8
 
-    def test_rejects_unknown_pool(self):
-        with pytest.raises(ValueError, match="pool"):
-            ParallelBuildPlan(num_workers=2, pool="fiber")
-
     def test_serial_plan_is_not_parallel(self):
         assert not ParallelBuildPlan(num_workers=1).parallel
         assert ParallelBuildPlan(num_workers=2).parallel
@@ -129,20 +124,14 @@ class TestBitIdenticalBuilds:
         self, nasty_db, serial_digest, num_workers, shard_rows
     ):
         parallel = build_statistics(
-            nasty_db, num_workers=num_workers, shard_rows=shard_rows, pool="thread"
-        )
-        assert stats_digest(parallel) == serial_digest
-
-    def test_process_pool_digest_matches_serial(self, nasty_db, serial_digest):
-        parallel = build_statistics(
-            nasty_db, num_workers=2, shard_rows=700, pool="process"
+            nasty_db, num_workers=num_workers, shard_rows=shard_rows
         )
         assert stats_digest(parallel) == serial_digest
 
     def test_serialized_archives_round_trip_identically(
         self, nasty_db, serial_stats, tmp_path
     ):
-        parallel = build_statistics(nasty_db, num_workers=3, shard_rows=311, pool="thread")
+        parallel = build_statistics(nasty_db, num_workers=3, shard_rows=311)
         serial_path = tmp_path / "serial.sba"
         parallel_path = tmp_path / "parallel.sba"
         save_stats(serial_stats, str(serial_path))
@@ -160,21 +149,19 @@ class TestBitIdenticalBuilds:
     def test_no_trigram_ablation_matches(self, nasty_db):
         serial = build_statistics(nasty_db, build_trigrams=False)
         parallel = build_statistics(
-            nasty_db, build_trigrams=False, num_workers=2, shard_rows=800, pool="thread"
+            nasty_db, build_trigrams=False, num_workers=2, shard_rows=800
         )
         assert stats_digest(parallel) == stats_digest(serial)
 
     def test_no_pk_precompute_matches(self, nasty_db):
         serial = build_statistics(nasty_db, precompute_pk_joins=False)
         parallel = build_statistics(
-            nasty_db, precompute_pk_joins=False, num_workers=3, pool="thread"
+            nasty_db, precompute_pk_joins=False, num_workers=3
         )
         assert stats_digest(parallel) == stats_digest(serial)
 
     def test_track_updates_attaches_counters_and_matches(self, nasty_db, serial_digest):
-        parallel = build_statistics(
-            nasty_db, track_updates=True, num_workers=2, pool="thread"
-        )
+        parallel = build_statistics(nasty_db, track_updates=True, num_workers=2)
         # Counters are ingest state, excluded from serialization: digest
         # still matches the plain serial build.
         assert stats_digest(parallel) == serial_digest
@@ -215,13 +202,13 @@ class TestIdenticalBounds:
         serial_sb = SafeBound()
         serial_sb.build(nasty_db)
         parallel_sb = SafeBound(
-            SafeBoundConfig(build_workers=3, build_shard_rows=450, build_pool="thread")
+            SafeBoundConfig(build_workers=3, build_shard_rows=450)
         )
         parallel_sb.build(nasty_db)
         for q in queries:
             assert parallel_sb.bound(q) == serial_sb.bound(q)
 
     def test_safebound_config_plumbs_workers(self, nasty_db, serial_digest):
-        sb = SafeBound(SafeBoundConfig(build_workers=2, build_pool="thread"))
+        sb = SafeBound(SafeBoundConfig(build_workers=2))
         sb.build(nasty_db)
         assert stats_digest(sb.stats) == serial_digest

@@ -167,7 +167,6 @@ class TestBoundValidity:
                 conditioning=FAST_CONDITIONING,
                 build_workers=2,
                 build_shard_rows=data.draw(st.integers(1, 64)),
-                build_pool="thread",
             )
         )
         sb.build(db)

@@ -175,6 +175,23 @@ class TestAdmissionControl:
             for future in futures:
                 future.result(timeout=10.0)
 
+    @pytest.mark.parametrize("max_queue", [0, -1])
+    def test_non_positive_queue_is_rejected(self, built, max_queue):
+        """Regression: ``queue.Queue(maxsize=0)`` is unbounded, so
+        ``max_queue=0`` used to accept every request instead of bounding
+        the backlog."""
+        with pytest.raises(ValueError, match="max_queue"):
+            EstimationServer(built, max_queue=max_queue)
+
+    @pytest.mark.parametrize("argv", [["--queue", "0"], ["serve", "--queue", "0"]])
+    def test_cli_rejects_non_positive_queue(self, argv):
+        """``--queue 0`` fails at argument parsing, before any build."""
+        from repro.service.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_failed_batch_propagates_to_clients(self):
         with EstimationServer(_FailingEstimator()) as server:
             future = server.submit(_queries()[0])
