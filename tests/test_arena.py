@@ -1,18 +1,17 @@
-"""Statistics serialisation: the zero-copy stats arena (core/arena.py),
-``core/serialization.py`` and the ``SafeBound.save`` / ``load`` facade.
+"""The zero-copy arena stats format (core/arena.py + serialization).
 
 Covers the format contract end to end: bit-identical bounds against the
-in-memory build, O(manifest) lazy loading, rejection of truncated files,
-read-only mmap views (mutation is copy-on-write, never write-through),
-the content digest of a reloaded store, update state across a save/load
-cycle, the array kernel's direct-from-arena batch packing, and the golden
-corpus served from arena-backed stats.
+in-memory build, O(manifest) lazy loading, read-only mmap views
+(mutation is copy-on-write, never write-through), the content digest of
+a reloaded store, update state across a save/load cycle, the array
+kernel's direct-from-arena batch packing, and the golden corpus served
+from arena-backed stats. The save/load facade, file size and truncated
+files are covered in ``test_serialization.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from kernel_oracle import array_side, object_path_only, object_side
 
 from repro.core import arraykernel as ak
 from repro.core.arena import ArenaBloomFilter, StatsArena
-from repro.core.conditioning import ConditioningConfig
 from repro.core.predicates import And, Eq, Like, Range
 from repro.core.safebound import SafeBound, SafeBoundConfig
 from repro.core.serialization import (
@@ -108,36 +106,6 @@ class TestRoundTrip:
         assert info["piecewise_functions"] == arena.num_functions > 0
         assert info["bloom_filters"] > 0
         assert info["relations"] == len(built.stats.relations)
-
-    def test_file_size_metric(self, built, tmp_path):
-        path = str(tmp_path / "stats.sba")
-        size = save_stats(built.stats, path)
-        assert size == os.path.getsize(path)
-        assert 0 < size < 10 * 1024 * 1024
-
-    def test_no_bloom_configuration_round_trips(self, tiny_db, tmp_path):
-        sb = SafeBound(
-            SafeBoundConfig(conditioning=ConditioningConfig(use_bloom_filters=False, mcv_size=10))
-        )
-        sb.build(tiny_db)
-        path = str(tmp_path / "stats.sba")
-        save_stats(sb.stats, path)
-        sb2 = SafeBound(sb.config)
-        sb2.stats = load_stats(path)
-        for q in _queries():
-            assert sb2.bound(q) == sb.bound(q)
-
-    @pytest.mark.parametrize("cut", [1, 64, "header"])
-    def test_truncated_archive_raises_value_error(self, built, tmp_path, cut):
-        """A truncated arena is rejected when opened, never served: the
-        extent check runs in ``StatsArena`` itself."""
-        path = tmp_path / "stats.sba"
-        size = save_stats(built.stats, str(path))
-        keep = 24 if cut == "header" else size - cut
-        with open(path, "rb+") as fh:
-            fh.truncate(keep)
-        with pytest.raises(ValueError, match="truncated"):
-            load_stats(str(path))
 
 
 class TestZeroCopy:
@@ -299,74 +267,6 @@ class TestCopyOnWrite:
         again = str(tmp_path / "pending2.sba")
         save_stats(reloaded.stats, again)
         assert stats_digest(load_stats(again)) == stats_digest(sb.stats)
-
-
-class TestFacade:
-    """SafeBound.save / SafeBound.load over core/serialization.py."""
-
-    def test_build_save_load_bound_bit_identical(self, built, tiny_db, tmp_path):
-        path = str(tmp_path / "facade.sba")
-        size = built.save(path)
-        assert size > 0
-        reloaded = SafeBound.load(path, tiny_db, built.config)
-        for q in _queries():
-            assert reloaded.bound(q) == built.bound(q)  # exact, not approx
-        # Update tracking was re-attached from the database.
-        for rel in reloaded.stats.relations.values():
-            for js in rel.join_stats.values():
-                assert js.incremental is not None
-
-    def test_load_without_db_serves_but_cannot_track(self, built, tmp_path):
-        path = str(tmp_path / "facade.sba")
-        built.save(path)
-        reloaded = SafeBound.load(path)
-        for q in _queries():
-            assert reloaded.bound(q) == built.bound(q)
-        for rel in reloaded.stats.relations.values():
-            for js in rel.join_stats.values():
-                assert js.incremental is None
-
-    def test_save_unbuilt_raises(self, tmp_path):
-        with pytest.raises(RuntimeError):
-            SafeBound().save(str(tmp_path / "nope.sba"))
-
-    def test_load_with_pending_inserts_reattaches_soundly(self, tmp_path):
-        """Regression: adopting the (stale) build-time base CDS unpadded
-        after reloading a mid-cycle archive used to underestimate."""
-        from repro.db.database import Database
-        from repro.db.schema import Schema
-        from repro.db.table import Table
-
-        rng = np.random.default_rng(8)
-        schema = Schema()
-        schema.add_table("fact", join_columns=["dim_id"], filter_columns=["score"])
-        db = Database(schema)
-        db.add_table(Table("fact", {
-            "id": np.arange(1500),
-            "dim_id": (rng.zipf(1.5, 1500) - 1) % 80,
-            "score": rng.integers(0, 20, 1500),
-        }))
-        sb = SafeBound()
-        sb.build(db)
-        # 500 hot-key rows, mirrored into the database.
-        hot = {
-            "id": np.arange(10000, 10500),
-            "dim_id": np.zeros(500, dtype=np.int64),
-            "score": np.zeros(500, dtype=np.int64),
-        }
-        sb.apply_insert("fact", hot)
-        db.tables["fact"] = Table("fact", {
-            k: np.concatenate((db.table("fact").column(k), hot[k])) for k in hot
-        })
-        path = str(tmp_path / "midcycle.sba")
-        sb.save(path)
-        reloaded = SafeBound.load(path, db)
-        js = reloaded.stats.relations["fact"].join_stats["dim_id"]
-        true_cds = js.incremental.counter.degree_sequence().to_cds()
-        maintained = js.condition(None)
-        grid = np.linspace(0, true_cds.domain_end, 50)
-        assert np.all(maintained(grid) >= true_cds(grid) - 1e-6 * (1 + true_cds(grid)))
-        assert maintained.total >= true_cds.total - 1e-6
 
 
 class TestKernelPacking:
