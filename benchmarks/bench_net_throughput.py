@@ -46,9 +46,7 @@ def test_net_throughput(served_workload, show):
     queries = workload.queries
     direct = [estimator.bound(q) for q in queries]
 
-    with EstimationServer(
-        estimator, max_batch=16, max_wait_ms=2.0, max_queue=4096
-    ) as server:
+    with EstimationServer(estimator, max_batch=16, max_queue=4096) as server:
         with NetServer(server) as net:
             report = generate_load_net(
                 *net.address,

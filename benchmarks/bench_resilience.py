@@ -137,9 +137,7 @@ def test_resilience(tmp_path_factory, show):
     # ------------------------------------------------------------------
     # Retry under overload: queue of 2, eight threads, zero lost requests.
     # ------------------------------------------------------------------
-    overload = EstimationServer(
-        estimator, max_queue=2, max_batch=2, max_wait_ms=0.5
-    )
+    overload = EstimationServer(estimator, max_queue=2, max_batch=2)
     n_threads, per_thread = 8, max(10, NUM_REQUESTS // 10)
     completed = [0] * n_threads
     retries = [0] * n_threads

@@ -46,9 +46,7 @@ def test_service_throughput_vs_batch_size(served_workload, show):
 
     rows = []
     for max_batch in BATCH_SIZES:
-        with EstimationServer(
-            estimator, max_batch=max_batch, max_wait_ms=2.0, max_queue=4096
-        ) as server:
+        with EstimationServer(estimator, max_batch=max_batch, max_queue=4096) as server:
             report = generate_load(
                 server, queries, num_requests=NUM_REQUESTS, concurrency=CONCURRENCY
             )

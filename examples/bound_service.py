@@ -90,7 +90,7 @@ def main() -> None:
         # stats-info`).
 
         # 2. Serve concurrent clients through micro-batches.
-        server = EstimationServer(estimator, max_batch=32, max_wait_ms=2.0, refresh_db=db)
+        server = EstimationServer(estimator, max_batch=32, refresh_db=db)
         with server:
             report = generate_load(server, queries, num_requests=200, concurrency=8)
             print(f"served {report['requests']} requests at {report['qps']:.0f} q/s, "

@@ -273,7 +273,6 @@ def serve(argv: list[str]) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0, help="0 picks a free port")
     parser.add_argument("--batch", type=_positive_int, default=64, help="max micro-batch size")
-    parser.add_argument("--wait-ms", type=float, default=2.0, help="max batching wait")
     parser.add_argument("--queue", type=_positive_int, default=1024, help="admission queue size")
     parser.add_argument("--catalog", default=None, help="catalog root (default: temp dir)")
     parser.add_argument(
@@ -318,7 +317,6 @@ def serve(argv: list[str]) -> int:
             estimator,
             max_queue=args.queue,
             max_batch=args.batch,
-            max_wait_ms=args.wait_ms,
             refresh_db=db,
             metrics_json_path=args.metrics_json,
             json_log=sys.stderr if args.log_json else None,
@@ -518,7 +516,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--requests", type=int, default=500, help="load-generator requests")
     parser.add_argument("--concurrency", type=int, default=8, help="client threads")
     parser.add_argument("--batch", type=_positive_int, default=64, help="max micro-batch size")
-    parser.add_argument("--wait-ms", type=float, default=2.0, help="max batching wait")
     parser.add_argument("--queue", type=_positive_int, default=1024, help="admission-control queue size")
     parser.add_argument(
         "--updates", type=int, default=0,
@@ -558,7 +555,6 @@ def main(argv: list[str] | None = None) -> int:
             estimator,
             max_queue=args.queue,
             max_batch=args.batch,
-            max_wait_ms=args.wait_ms,
             refresh_db=db,
             metrics_json_path=args.metrics_json,
             metrics_json_interval=args.metrics_interval,

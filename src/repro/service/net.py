@@ -380,24 +380,22 @@ class NetServer:
             queries = [query_from_wire(q) for q in payload]
         except (ValueError, TypeError, KeyError) as exc:
             return {"ok": False, "error": "bad_request", "detail": str(exc)}
-        # Submit individually so the micro-batcher coalesces them with
-        # whatever else is in flight; per-item status so one overloaded
-        # admission does not discard the rest of the batch.
+        # One submit_many call: the admitted items reach the batcher as
+        # one queue entry, so the frame is served together.  Per-item
+        # status, so one overloaded admission does not discard the rest.
         slots: list[dict] = []
-        futures = []
-        for query in queries:
-            try:
-                futures.append((len(slots), self.server.submit(query)))
-                slots.append({})
-            except ServerOverloadedError as exc:
-                slots.append(self._overloaded(exc))
-            except RuntimeError as exc:
-                slots.append({"ok": False, "error": "unavailable", "detail": str(exc)})
-        for index, future in futures:
-            try:
-                slots[index] = {"ok": True, "bound": future.result(self.request_timeout)}
-            except Exception as exc:
-                slots[index] = {"ok": False, "error": "server_error", "detail": repr(exc)}
+        for slot in self.server.submit_many(queries):
+            if isinstance(slot, ServerOverloadedError):
+                slots.append(self._overloaded(slot))
+            elif isinstance(slot, Exception):
+                slots.append({"ok": False, "error": "unavailable", "detail": str(slot)})
+            else:
+                try:
+                    slots.append({"ok": True, "bound": slot.result(self.request_timeout)})
+                except Exception as exc:
+                    slots.append(
+                        {"ok": False, "error": "server_error", "detail": repr(exc)}
+                    )
         return {"ok": True, "results": slots}
 
     def _handle_health(self) -> dict:

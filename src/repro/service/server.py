@@ -3,17 +3,25 @@
 ``SafeBound.estimate_batch`` groups queries by skeleton so one compiled
 skeleton and one warm conditioning cache serve a whole batch.  This
 server turns that library-level batching into a serving-side win:
-concurrent clients submit single queries onto a bounded queue, one
-batching thread coalesces them into micro-batches (up to ``max_batch``
-requests or ``max_wait_ms`` of extra latency, whichever first), and the
-whole batch flows through ``estimate_batch`` in this process — so
-requests that share a query shape share all compilation and
-conditioning work.
+concurrent clients submit queries onto a bounded queue, and one
+batching thread serves them in micro-batches through ``estimate_batch``
+in this process — so requests that share a query shape share all
+compilation and conditioning work.
 
-Admission control is the bounded queue: when it is full, ``submit``
-raises :class:`ServerOverloadedError` instead of growing an unbounded
-backlog.  Between batches the thread polls its estimator for a newer
-catalog version (``refresh``), giving hot statistics swaps without ever
+Batches form by arrival, not by timer.  The batching thread sleeps
+until work is queued, then takes whatever is queued (up to
+``max_batch`` queries) and serves it at once; requests that arrive
+while a batch runs form the next batch.  A lone request therefore pays
+no batching delay, and under load batches grow by themselves.  A
+multi-query frame submitted with :meth:`EstimationServer.submit_many`
+is one queue entry, so it is served whole by a single
+``estimate_batch`` call whenever it fits in ``max_batch``.
+
+Admission control is the bounded queue: when ``max_queue`` queries are
+waiting, ``submit`` raises :class:`ServerOverloadedError` instead of
+growing an unbounded backlog.  While serving and while idle the thread
+polls its estimator for a newer catalog version (``refresh``) every
+``refresh_seconds``, giving hot statistics swaps without ever
 rejecting or failing a request.  Because every batch is evaluated on
 the one estimator object, padding applied by live ingest
 (``apply_insert``) is visible to the very next batch — no statistics
@@ -24,9 +32,9 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
@@ -61,7 +69,10 @@ class _Request:
     enqueued_at: float = field(default_factory=time.perf_counter)
 
 
-_STOP = object()
+# The shortest idle wait between refresh polls / metrics dumps, so a
+# ``refresh_seconds`` of 0 ("poll before every batch") cannot spin an
+# idle server.
+_MIN_IDLE_WAIT = 0.01
 
 
 class EstimationServer:
@@ -69,8 +80,9 @@ class EstimationServer:
 
     ``estimator`` is anything with ``estimate_batch`` (a ``SafeBound``, a
     ``CatalogBackedSafeBound``, or any harness estimator).  When it also
-    exposes ``refresh()``, the batching thread calls it between batches
-    every ``refresh_seconds`` — the catalog hot-swap hook.
+    exposes ``refresh()``, the batching thread calls it every
+    ``refresh_seconds``, between batches and while idle — the catalog
+    hot-swap hook.
     """
 
     def __init__(
@@ -79,7 +91,6 @@ class EstimationServer:
         *,
         max_queue: int = 1024,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
         refresh_seconds: float = 0.05,
         refresh_db=None,
         metrics: ServerMetrics | None = None,
@@ -90,13 +101,12 @@ class EstimationServer:
     ) -> None:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        # queue.Queue(maxsize=0) is unbounded: it would turn admission
-        # control off instead of rejecting everything.
+        # A non-positive capacity would reject every request.
         if max_queue <= 0:
             raise ValueError("max_queue must be positive")
         self.estimator = estimator
         self.max_batch = max_batch
-        self.max_wait_seconds = max_wait_ms / 1000.0
+        self.max_queue = max_queue
         self.refresh_seconds = refresh_seconds
         self.refresh_db = refresh_db
         self.metrics = metrics or ServerMetrics()
@@ -114,9 +124,19 @@ class EstimationServer:
         # per rejected request / failed batch (the ``--log-json`` flag).
         self.json_log = json_log
         self._json_log_lock = threading.Lock()
-        self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
+        # The queue: entries are lists of requests (one per ``submit``,
+        # up to ``max_batch`` per ``submit_many`` frame), ``_depth`` counts
+        # the queued queries.  One condition on a reentrant lock guards
+        # all of it, so ``submit_many`` can hold it across its ``submit``
+        # calls.
+        self._cond = threading.Condition(threading.RLock())
+        self._queue: deque[list[_Request]] = deque()
+        self._depth = 0
+        # The frame a ``submit_many`` call is collecting, else None.
+        self._frame: list[_Request] | None = None
         self._thread: threading.Thread | None = None
         self._accepting = False
+        self._stopping = False
         self._last_refresh = time.monotonic()
         self.last_refresh_error: Exception | None = None
         # Degraded-mode threshold: this many *consecutive* refresh
@@ -137,20 +157,33 @@ class EstimationServer:
         if registry is not None:
             self.metrics.obs_source = registry.snapshot
         self._accepting = True
+        self._stopping = False
         self._thread = threading.Thread(
             target=self._run, name="estimation-server", daemon=True
         )
         self._thread.start()
         return self
 
-    def stop(self, timeout: float | None = 30.0) -> None:
-        """Stop accepting, serve everything already queued, and join."""
-        if self._thread is None:
-            return
-        self._accepting = False
-        self._queue.put(_STOP)
-        self._thread.join(timeout)
+    def stop(self, timeout: float | None = 30.0) -> bool:
+        """Stop accepting, serve everything already queued, and join.
+
+        Returns whether the batching thread exited.  When the join times
+        out (a batch outlives ``timeout``) the server keeps its thread:
+        it still reports itself live (not ready) until the backlog is
+        served, and a later ``stop()`` finishes the join.
+        """
+        thread = self._thread
+        if thread is None:
+            return True
+        with self._cond:
+            self._accepting = False
+            self._stopping = True
+            self._cond.notify()
+        thread.join(timeout)
+        if thread.is_alive():
+            return False
         self._thread = None
+        return True
 
     def __enter__(self) -> "EstimationServer":
         return self.start()
@@ -167,28 +200,60 @@ class EstimationServer:
     # ------------------------------------------------------------------
     def submit(self, query: Query) -> Future:
         """Enqueue one query; resolves to its bound.  Raises
-        :class:`ServerOverloadedError` when the queue is full."""
-        if not self._accepting:
-            raise RuntimeError("server is not accepting requests")
+        :class:`ServerOverloadedError` when ``max_queue`` queries are
+        already waiting."""
         request = _Request(query)
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
+        with self._cond:
+            if not self._accepting:
+                raise RuntimeError("server is not accepting requests")
+            depth = self._depth
+            if depth < self.max_queue:
+                self._depth += 1
+                if self._frame is not None:
+                    self._frame.append(request)  # submit_many enqueues it
+                else:
+                    self._queue.append([request])
+                    self._cond.notify()
+        if depth >= self.max_queue:
             self.metrics.record_rejected()
             _metric_inc("server.rejected")
-            # The *live* backlog, not the constant capacity: the worker
-            # may have drained entries between the failed put and here,
-            # and an operator reading the log needs the actual depth.
-            depth = self._queue.qsize()
-            self._log_json("rejected", queue_depth=depth, max_queue=self._queue.maxsize)
+            self._log_json("rejected", queue_depth=depth, max_queue=self.max_queue)
             exc = ServerOverloadedError(
-                f"request queue full ({depth}/{self._queue.maxsize} pending)"
+                f"request queue full ({depth}/{self.max_queue} pending)"
             )
             exc.queue_depth = depth
-            exc.max_queue = self._queue.maxsize
-            raise exc from None
+            exc.max_queue = self.max_queue
+            raise exc
         self.metrics.record_accepted()
         return request.future
+
+    def submit_many(self, queries: list[Query]) -> list[Future | Exception]:
+        """Enqueue a frame of queries so they reach the batcher together.
+
+        Each query still goes through :meth:`submit`, under the queue
+        lock, and the admitted ones are enqueued as one entry (split
+        every ``max_batch`` queries): a frame that fits in ``max_batch``
+        is served by a single ``estimate_batch`` call.  Returns one slot
+        per query, index-aligned: its future, or the
+        :class:`ServerOverloadedError` / ``RuntimeError`` its admission
+        raised.
+        """
+        slots: list[Future | Exception] = []
+        with self._cond:
+            self._frame = frame = []
+            try:
+                for query in queries:
+                    try:
+                        slots.append(self.submit(query))
+                    except RuntimeError as exc:
+                        slots.append(exc)
+            finally:
+                self._frame = None
+                for start in range(0, len(frame), self.max_batch):
+                    self._queue.append(frame[start : start + self.max_batch])
+                if frame:
+                    self._cond.notify()
+        return slots
 
     def bound(self, query: Query, timeout: float | None = 30.0) -> float:
         """Synchronous convenience wrapper around :meth:`submit`."""
@@ -198,55 +263,41 @@ class EstimationServer:
     # Worker
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        stopping = False
-        # With a periodic metrics dump configured the loop wakes even when
-        # idle, so dumps stay fresh without request traffic.
-        poll = 0.25 if self.metrics_json_path is not None else None
-        while not stopping:
-            try:
-                head = self._queue.get(timeout=poll)
-            except queue.Empty:
-                self._maybe_dump_metrics()
-                continue
-            if head is _STOP:
-                stopping = True
-            else:
-                stopping = self._collect_and_serve(head)
+        while True:
+            with self._cond:
+                while not self._queue and not self._stopping:
+                    if not self._cond.wait(self._idle_timeout()):
+                        break  # a refresh poll or metrics dump is due
+                batch = self._take_batch()
+                done = not batch and self._stopping
+            if done:
+                break
+            if batch:
+                self._serve_batch(batch)
             self._maybe_refresh()
             self._maybe_dump_metrics()
-        # Serve the backlog accepted before shutdown began.
-        leftovers: list[_Request] = []
-        while True:
-            try:
-                request = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if request is not _STOP:
-                leftovers.append(request)
-        for start in range(0, len(leftovers), self.max_batch):
-            self._serve_batch(leftovers[start : start + self.max_batch])
         self._maybe_dump_metrics(force=True)
 
-    def _collect_and_serve(self, head: _Request) -> bool:
-        """Coalesce a micro-batch behind ``head``; True means stop seen."""
-        batch = [head]
-        saw_stop = False
-        deadline = time.monotonic() + self.max_wait_seconds
-        while len(batch) < self.max_batch:
-            remaining = deadline - time.monotonic()
-            try:
-                if remaining <= 0:
-                    request = self._queue.get_nowait()
-                else:
-                    request = self._queue.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if request is _STOP:
-                saw_stop = True
-                break
-            batch.append(request)
-        self._serve_batch(batch)
-        return saw_stop
+    def _idle_timeout(self) -> float | None:
+        """Seconds until the next refresh poll or metrics dump is due;
+        None (sleep until work arrives) when neither is configured."""
+        due = []
+        if getattr(self.estimator, "refresh", None) is not None:
+            due.append(self._last_refresh + self.refresh_seconds)
+        if self.metrics_json_path is not None:
+            due.append(self._last_metrics_dump + self.metrics_json_interval)
+        if not due:
+            return None
+        return max(min(due) - time.monotonic(), _MIN_IDLE_WAIT)
+
+    def _take_batch(self) -> list[_Request]:
+        """Pop whole queue entries, oldest first, up to ``max_batch``
+        queries (the caller holds the lock)."""
+        batch: list[_Request] = []
+        while self._queue and len(batch) + len(self._queue[0]) <= self.max_batch:
+            batch.extend(self._queue.popleft())
+        self._depth -= len(batch)
+        return batch
 
     def _serve_batch(self, batch: list[_Request]) -> None:
         # Transition every future to RUNNING; a client that cancelled while

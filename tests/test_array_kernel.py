@@ -115,7 +115,7 @@ class TestWorkloadDifferential:
         wl, arr, obj = workload_pairs[name]
         with object_path_only():
             expected = obj.estimate_batch(wl.queries)
-        with EstimationServer(arr, max_batch=8, max_wait_ms=1.0) as server:
+        with EstimationServer(arr, max_batch=8) as server:
             futures = [server.submit(q) for q in wl.queries]
             served = [f.result(30.0) for f in futures]
         assert served == expected

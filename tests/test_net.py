@@ -71,6 +71,10 @@ def _queries() -> list[Query]:
     return out
 
 
+def _wire_key(query: Query) -> str:
+    return json.dumps(query_to_wire(query), sort_keys=True)
+
+
 class TestWireCodec:
     def test_round_trip_is_bit_identical(self, built):
         for query in _queries():
@@ -218,7 +222,7 @@ class _SlowEstimator:
 @pytest.fixture(scope="module")
 def net(built):
     """A running socket front end over an in-thread estimation server."""
-    with EstimationServer(built, max_batch=16, max_wait_ms=2.0) as server:
+    with EstimationServer(built, max_batch=16) as server:
         with NetServer(server) as net:
             yield net
 
@@ -299,7 +303,7 @@ class TestNetServer:
     def test_overload_surfaces_as_typed_response(self, built):
         slow = _SlowEstimator(built, delay=0.5)
         query = _queries()[0]
-        with EstimationServer(slow, max_queue=1, max_batch=1, max_wait_ms=0.0) as server:
+        with EstimationServer(slow, max_queue=1, max_batch=1) as server:
             with NetServer(server) as net:
                 occupant = NetClient(*net.address)
                 filler = NetClient(*net.address)
@@ -332,6 +336,50 @@ class TestNetServer:
                         t.join(10.0)
                     occupant.close()
                     filler.close()
+
+    def test_bound_batch_frame_is_one_estimate_batch_call(self):
+        """NetServer submits a frame through one submit_many call, so a
+        frame of N <= max_batch queries reaches estimate_batch as a single
+        call while other connections keep sending single bounds."""
+
+        class _Recording:
+            def __init__(self) -> None:
+                self.batches: list[set[str]] = []
+
+            def estimate_batch(self, queries):
+                self.batches.append({_wire_key(q) for q in queries})
+                return [1.0] * len(queries)
+
+        stub = _Recording()
+        single = _queries()[0]
+        frame = [
+            _queries()[3].add_predicate("g", Eq("score", 100 + i)) for i in range(8)
+        ]
+        keys = {_wire_key(q) for q in frame}
+        stop = threading.Event()
+        with EstimationServer(stub, max_batch=len(frame)) as server:
+            with NetServer(server) as net:
+
+                def hammer() -> None:
+                    with NetClient(*net.address) as client:
+                        while not stop.is_set():
+                            client.bound(single)
+
+                threads = [threading.Thread(target=hammer, daemon=True) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                try:
+                    with NetClient(*net.address) as client:
+                        for _ in range(30):
+                            assert client.bound_batch(frame) == [1.0] * len(frame)
+                finally:
+                    stop.set()
+                    for thread in threads:
+                        thread.join(10.0)
+        assert any(_wire_key(single) in batch for batch in stub.batches)
+        hits = [batch for batch in stub.batches if keys & batch]
+        assert len(hits) == 30
+        assert all(keys <= batch for batch in hits)
 
     def test_idle_stop_returns_promptly(self, built):
         """Regression: stop() only closed the listener, which does not
@@ -579,3 +627,25 @@ class TestCrossProcessHotSwap:
                     assert health["version"] == 1
                     assert health["generation"] == 1
                     assert health["generation"] == catalog.latest("live").version
+
+    def test_idle_server_picks_up_a_publish(self, tmp_path):
+        """The batching thread polls refresh() while idle: health reports
+        the newly published version with no request sent."""
+        db = _make_mutable_db()
+        catalog = StatsCatalog(tmp_path)
+        estimator = CatalogBackedSafeBound(catalog, "live")
+        estimator.build(db)
+        with EstimationServer(estimator, refresh_seconds=0.02) as server:
+            with NetServer(server) as net:
+                with NetClient(*net.address) as client:
+                    assert client.health()["version"] == 1
+                    catalog.publish("live", catalog.load("live", version=1))
+                    deadline = time.monotonic() + 5.0
+                    while (
+                        client.health()["version"] != 2
+                        and time.monotonic() < deadline
+                    ):
+                        time.sleep(0.01)
+                    assert client.health()["version"] == 2
+        assert server.metrics.accepted == 0
+        assert server.metrics.swaps == 1

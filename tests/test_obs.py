@@ -360,8 +360,6 @@ class TestServerObservability:
         assert failed["ts"] > 0
 
     def test_json_log_records_rejections(self, built):
-        import queue as queue_mod
-
         log = io.StringIO()
         server = EstimationServer(built, max_queue=1, json_log=log)
         server._accepting = True  # admission without a running worker
@@ -371,12 +369,7 @@ class TestServerObservability:
                 server.submit(_queries()[1])
         finally:
             server._accepting = False
-            # Drain so nothing lingers.
-            while True:
-                try:
-                    server._queue.get_nowait()
-                except queue_mod.Empty:
-                    break
+            server._queue.clear()  # drain so nothing lingers
         lines = [json.loads(l) for l in log.getvalue().splitlines()]
         assert any(l["event"] == "rejected" for l in lines)
 

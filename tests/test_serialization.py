@@ -15,7 +15,7 @@ import pytest
 from repro.core.conditioning import ConditioningConfig
 from repro.core.predicates import And, Eq, Like, Range
 from repro.core.safebound import SafeBound, SafeBoundConfig
-from repro.core.serialization import load_stats, save_stats
+from repro.core.serialization import load_stats, save_stats, stats_digest
 from repro.db.query import Query
 
 
@@ -195,3 +195,8 @@ class TestFacade:
         assert fact.join_stats["dim_id"].pending_inserts == 50
         for q in _queries():
             assert reloaded.bound(q) == sb.bound(q)
+        # A second round trip (save the lazily loaded store again) is
+        # stable: the mapped views re-serialise losslessly.
+        again = str(tmp_path / "pending2.sba")
+        save_stats(reloaded.stats, again)
+        assert stats_digest(load_stats(again)) == stats_digest(sb.stats)

@@ -56,6 +56,32 @@ class _SlowEstimator:
         return self.inner.estimate_batch(queries)
 
 
+class _GatedEstimator:
+    """Holds every batch until ``release`` is set; ``entered`` fires when
+    the first batch is running (a deterministic busy worker)."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def estimate_batch(self, queries):
+        self.entered.set()
+        self.release.wait(10.0)
+        return self.inner.estimate_batch(queries)
+
+
+class _RecordingEstimator:
+    """Instant stub that records each ``estimate_batch`` call."""
+
+    def __init__(self) -> None:
+        self.batches: list[list[Query]] = []
+
+    def estimate_batch(self, queries):
+        self.batches.append(list(queries))
+        return [1.0] * len(queries)
+
+
 class _FailingEstimator:
     def estimate_batch(self, queries):
         raise ValueError("boom")
@@ -82,7 +108,7 @@ class TestMicroBatching:
     def test_concurrent_requests_bit_identical_to_direct_bound(self, built):
         queries = _queries()
         direct = [built.bound(q) for q in queries]
-        with EstimationServer(built, max_batch=32, max_wait_ms=5.0) as server:
+        with EstimationServer(built, max_batch=32) as server:
             report = generate_load(server, queries, num_requests=130, concurrency=10)
         assert report["rejections"] == 0
         for i, result in enumerate(report["results"]):
@@ -91,7 +117,7 @@ class TestMicroBatching:
     def test_requests_actually_coalesce(self, built):
         queries = _queries()
         slow = _SlowEstimator(built, delay=0.01)
-        with EstimationServer(slow, max_batch=64, max_wait_ms=20.0) as server:
+        with EstimationServer(slow, max_batch=64) as server:
             report = generate_load(server, queries, num_requests=96, concurrency=12)
         metrics = report["metrics"]
         assert metrics["batches"] < metrics["accepted"]
@@ -106,7 +132,7 @@ class TestMicroBatching:
     def test_stop_serves_backlog(self, built):
         queries = _queries()
         slow = _SlowEstimator(built, delay=0.02)
-        server = EstimationServer(slow, max_batch=4, max_wait_ms=0.1)
+        server = EstimationServer(slow, max_batch=4)
         server.start()
         futures = [server.submit(q) for q in queries]
         server.stop()
@@ -123,24 +149,150 @@ class TestMicroBatching:
     def test_cancelled_future_does_not_kill_worker(self, built):
         """Regression: set_result on a client-cancelled future used to
         raise InvalidStateError and terminate the serving thread."""
-        slow = _SlowEstimator(built, delay=0.02)
+        gated = _GatedEstimator(built)
         query = _queries()[0]
-        with EstimationServer(slow, max_batch=8, max_wait_ms=0.1) as server:
+        with EstimationServer(gated, max_batch=8) as server:
             first = server.submit(query)   # occupies the worker
+            assert gated.entered.wait(5.0)
             victim = server.submit(query)  # still queued
             survivor = server.submit(query)
             assert victim.cancel()
+            gated.release.set()
             assert first.result(timeout=5.0) == built.bound(query)
             assert survivor.result(timeout=5.0) == built.bound(query)
             # The worker is still alive and serving.
             assert server.bound(query, timeout=5.0) == built.bound(query)
 
 
+class TestBatchByArrival:
+    def test_submit_many_frame_is_one_estimate_batch_call(self):
+        """A frame of N <= max_batch queries is one queue entry, so it is
+        never split across batches — even while other clients keep
+        submitting single queries ahead of and behind it."""
+        stub = _RecordingEstimator()
+        singles = _queries()
+        frames = [_queries() for _ in range(20)]
+        stop = threading.Event()
+        with EstimationServer(stub, max_batch=len(frames[0])) as server:
+
+            def hammer() -> None:
+                while not stop.is_set():
+                    server.bound(singles[0], timeout=5.0)
+
+            threads = [threading.Thread(target=hammer, daemon=True) for _ in range(2)]
+            for t in threads:
+                t.start()
+            try:
+                for frame in frames:
+                    slots = server.submit_many(frame)
+                    assert [f.result(timeout=5.0) for f in slots] == [1.0] * len(frame)
+            finally:
+                stop.set()
+                for t in threads:
+                    t.join(10.0)
+        assert any(q is singles[0] for batch in stub.batches for q in batch)
+        for frame in frames:
+            members = {id(q) for q in frame}
+            hits = [b for b in stub.batches if members & {id(q) for q in b}]
+            assert len(hits) == 1
+            assert members <= {id(q) for q in hits[0]}
+
+    def test_submit_many_splits_a_frame_at_max_batch(self):
+        stub = _RecordingEstimator()
+        queries = _queries()
+        with EstimationServer(stub, max_batch=4) as server:
+            slots = server.submit_many(queries)
+            assert [f.result(timeout=5.0) for f in slots] == [1.0] * len(queries)
+        assert [len(b) for b in stub.batches] == [4, 4, 3]
+
+    def test_submit_many_returns_admission_errors_in_their_slots(self, built):
+        gated = _GatedEstimator(built)
+        queries = _queries()
+        with EstimationServer(gated, max_queue=3, max_batch=8) as server:
+            first = server.submit(queries[0])
+            assert gated.entered.wait(5.0)
+            slots = server.submit_many(queries[:5])
+            assert [isinstance(s, ServerOverloadedError) for s in slots] == [
+                False, False, False, True, True,
+            ]
+            assert slots[3].queue_depth == 3 and slots[3].max_queue == 3
+            gated.release.set()
+            assert first.result(timeout=5.0) == built.bound(queries[0])
+            for q, slot in zip(queries, slots[:3]):
+                assert slot.result(timeout=5.0) == built.bound(q)
+        assert server.metrics.rejected == 2
+        slots = server.submit_many(queries[:2])
+        assert all(type(s) is RuntimeError for s in slots)
+
+    def test_lone_requests_pay_no_batching_delay(self):
+        """Sequential requests dispatch on arrival: the deleted batching
+        timer held each one for at least 2 ms."""
+        query = _queries()[0]
+        with EstimationServer(_RecordingEstimator()) as server:
+            for _ in range(50):
+                assert server.bound(query, timeout=5.0) == 1.0
+        assert server.metrics.queue_latency.summary()["p50"] < 1e-3
+
+    @pytest.mark.parametrize("refreshing", [False, True])
+    def test_idle_stop_returns_promptly(self, built, refreshing):
+        estimator = _SwappableEstimator(built) if refreshing else built
+        server = EstimationServer(estimator).start()
+        time.sleep(0.05)  # let the batching thread go idle
+        started = time.monotonic()
+        assert server.stop() is True
+        assert time.monotonic() - started < 1.0
+        assert not server.running
+
+    def test_stop_during_batch_serves_whole_backlog(self, built):
+        gated = _GatedEstimator(built)
+        queries = _queries()
+        server = EstimationServer(gated, max_batch=4).start()
+        first = server.submit(queries[0])
+        assert gated.entered.wait(5.0)
+        backlog = [server.submit(q) for q in queries]
+        stopped: list[bool] = []
+        stopper = threading.Thread(target=lambda: stopped.append(server.stop(10.0)))
+        stopper.start()
+        deadline = time.monotonic() + 5.0
+        while server.health_status()["ready"] and time.monotonic() < deadline:
+            time.sleep(0.001)
+        with pytest.raises(RuntimeError, match="not accepting"):
+            server.submit(queries[0])
+        gated.release.set()
+        stopper.join(10.0)
+        assert stopped == [True]
+        assert first.result(timeout=1.0) == built.bound(queries[0])
+        for q, future in zip(queries, backlog):
+            assert future.result(timeout=1.0) == built.bound(q)
+        assert server.metrics.completed == len(queries) + 1
+
+    def test_stop_timeout_keeps_reporting_live(self, built):
+        """A join that times out must not report the server stopped while
+        its batching thread still runs."""
+        gated = _GatedEstimator(built)
+        query = _queries()[0]
+        server = EstimationServer(gated).start()
+        future = server.submit(query)
+        assert gated.entered.wait(5.0)
+        assert server.stop(timeout=0.05) is False
+        assert server.running
+        health = server.health_status()
+        assert health["live"] and not health["ready"]
+        assert health["status"] == "ok"
+        with pytest.raises(RuntimeError, match="already started"):
+            server.start()
+        gated.release.set()
+        assert future.result(timeout=5.0) == built.bound(query)
+        assert server.stop(timeout=5.0) is True
+        assert not server.running
+        assert server.health_status()["status"] == "stopped"
+
+
 class TestAdmissionControl:
     def test_overload_rejects_instead_of_queueing(self, built):
         slow = _SlowEstimator(built, delay=0.05)
         query = _queries()[0]
-        with EstimationServer(slow, max_queue=2, max_batch=1, max_wait_ms=0.0) as server:
+        with EstimationServer(slow, max_queue=2, max_batch=1) as server:
             rejected = 0
             futures = []
             for _ in range(50):
@@ -159,7 +311,7 @@ class TestAdmissionControl:
         live backlog at rejection time."""
         slow = _SlowEstimator(built, delay=0.05)
         query = _queries()[0]
-        with EstimationServer(slow, max_queue=2, max_batch=1, max_wait_ms=0.0) as server:
+        with EstimationServer(slow, max_queue=2, max_batch=1) as server:
             caught = None
             futures = []
             for _ in range(50):
@@ -220,8 +372,8 @@ class TestAdmissionControl:
 
         stub = _TruncatingEstimator(built)
         queries = _queries()
-        with EstimationServer(stub, max_batch=len(queries), max_wait_ms=50.0) as server:
-            futures = [server.submit(q) for q in queries]
+        with EstimationServer(stub, max_batch=len(queries)) as server:
+            futures = server.submit_many(queries)
             for future in futures:
                 with pytest.raises(RuntimeError, match="truncated batch"):
                     future.result(timeout=5.0)
@@ -258,6 +410,19 @@ class TestHotSwap:
             server.bound(query)
         assert swappable.refreshes >= 2
         assert server.metrics.swaps == 1
+
+    def test_refresh_polled_while_idle(self, built):
+        """The batching thread wakes for refresh polls with no traffic, so
+        a publish is picked up before the next request arrives."""
+        swappable = _SwappableEstimator(built)
+        swappable.swap_next = True
+        with EstimationServer(swappable, refresh_seconds=0.01) as server:
+            deadline = time.monotonic() + 5.0
+            while swappable.refreshes < 3 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert swappable.refreshes >= 3
+            assert server.metrics.swaps == 1
+        assert server.metrics.accepted == 0
 
     def test_refresh_failure_does_not_kill_worker(self, built):
         """Regression: an exception out of refresh() used to terminate the

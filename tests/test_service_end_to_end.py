@@ -49,7 +49,7 @@ def test_full_service_lifecycle(tmp_path):
     ingest = UpdateIngest(db, estimator, republish_overhead=0.05)
     worker = RepublishWorker(ingest, poll_seconds=0.01)
     server = EstimationServer(
-        estimator, max_batch=32, max_wait_ms=5.0, refresh_seconds=0.0, refresh_db=db
+        estimator, max_batch=32, refresh_seconds=0.0, refresh_db=db
     )
 
     with server:
