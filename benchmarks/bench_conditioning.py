@@ -107,7 +107,7 @@ def test_conditioning_speedup_and_identity(workloads, estimators, show):
     rows = []
     lines = [
         f"conditioning, scale={SCALE}, {NUM_QUERIES} queries/workload "
-        f"({os.cpu_count()} cpu)",
+        f"(nproc {len(os.sched_getaffinity(0))})",
         f"{'workload':>10} {'pairs':>6} {'object_ms':>10} {'array_ms':>9} "
         f"{'warm_ms':>8} {'array_x':>8} {'warm_x':>7}",
     ]
@@ -163,7 +163,7 @@ def test_conditioning_speedup_and_identity(workloads, estimators, show):
             "bench": "conditioning",
             "scale": SCALE,
             "num_queries": NUM_QUERIES,
-            "cpus": os.cpu_count(),
+            "nproc": len(os.sched_getaffinity(0)),
             "repetitions": REPETITIONS,
             "speedup_floor": SPEEDUP_FLOOR,
             "rows": rows,

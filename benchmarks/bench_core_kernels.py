@@ -1,15 +1,18 @@
-"""Micro-benchmarks of SafeBound's two hot kernels.
+"""Micro-benchmarks of SafeBound's hot kernels.
 
 Not a paper figure, but the numbers the paper's complexity claims rest
 on: ValidCompress is linear in the number of runs, and FDSB inference is
 log-linear in the total compressed segment count (Theorem 3.4 of Sec 3.5),
-i.e. both are micro- to millisecond-scale.
+i.e. both are micro- to millisecond-scale.  The segmented search and
+merge are the array kernel's primitives under both bound evaluation and
+batched conditioning: one ``np.searchsorted`` pass over sorted keys each.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import DegreeSequence, SafeBound, valid_compress
+from repro.core import arraykernel as ak
 from repro.core.predicates import And, Eq, Range
 from repro.db.query import Query
 
@@ -43,3 +46,42 @@ def test_bench_fdsb_inference(benchmark, built_safebound, bench_imdb):
     q.add_predicate("ci", Eq("role_id", 1))
     bound = benchmark(built_safebound.bound, q)
     assert bound >= 0
+
+
+@pytest.fixture(scope="module")
+def ragged_batches():
+    """Two segment-sorted batches of 2,000 segments, ~16 points each,
+    drawn from a small value pool so that ties are common."""
+    rng = np.random.default_rng(0)
+
+    def batch():
+        lengths = rng.integers(0, 33, 2_000)
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        vals = rng.integers(0, 64, offsets[-1]).astype(float)
+        ids = np.repeat(np.arange(len(lengths)), lengths)
+        vals = vals[np.lexsort((vals, ids))]
+        return ak.Ragged(vals, None, offsets)
+
+    return batch(), batch()
+
+
+def test_bench_seg_searchsorted(benchmark, ragged_batches):
+    a, q = ragged_batches
+    # Keys are built inside the timing: callers pay for them once per batch.
+    idx = benchmark(
+        lambda: ak._seg_searchsorted(
+            ak._keys(a.ids(), a.xs), a.offsets, ak._keys(q.ids(), q.xs), q.ids(), "right"
+        )
+    )
+    assert np.all((idx >= 0) & (idx <= a.lengths()[q.ids()]))
+
+
+def test_bench_seg_merge_unique(benchmark, ragged_batches):
+    a, b = ragged_batches
+    # Fresh batches per call, so the keys are built inside the timing.
+    merged = benchmark(
+        lambda: ak._seg_merge_unique(
+            ak.Ragged(a.xs, None, a.offsets), ak.Ragged(b.xs, None, b.offsets)
+        )
+    )
+    assert merged.offsets[-1] <= a.offsets[-1] + b.offsets[-1]

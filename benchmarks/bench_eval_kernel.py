@@ -88,7 +88,7 @@ def test_eval_kernel_speedup_and_identity(eval_setup, show):
     per_q_arr = array_seconds / len(queries) * 1e3
     show(
         f"stats-CEB batch estimation, scale={SCALE}, {len(queries)} queries "
-        f"({os.cpu_count()} cpu)\n"
+        f"(nproc {len(os.sched_getaffinity(0))})\n"
         f"{'kernel':>8} {'batch_ms':>10} {'ms/query':>10} {'speedup':>8}\n"
         f"{'object':>8} {object_seconds * 1e3:>10.1f} {per_q_obj:>10.3f} {'1.00x':>8}\n"
         f"{'array':>8} {array_seconds * 1e3:>10.1f} {per_q_arr:>10.3f} "
@@ -105,7 +105,7 @@ def test_eval_kernel_speedup_and_identity(eval_setup, show):
             "bench": "eval_kernel",
             "workload": f"stats-ceb(scale={SCALE})",
             "num_queries": len(queries),
-            "cpus": os.cpu_count(),
+            "nproc": len(os.sched_getaffinity(0)),
             "repetitions": REPETITIONS,
             "identical": True,
             "object_batch_seconds": round(object_seconds, 4),

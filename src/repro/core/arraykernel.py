@@ -20,13 +20,24 @@ module lowers the same computation into a *batched* form:
   whole heterogeneous batch, scheduling ops of the same kind from every
   query/skeleton into shared kernel calls.
 
+**Segmented search.**  Every search and merge runs on sort keys that
+order elements by (segment id, value): ``complex128`` with the segment id
+as real part and the value as imaginary part, which numpy orders
+lexicographically.  One ``np.searchsorted`` over a batch's keys then
+searches every query in its own segment, with ``np.searchsorted``'s
+left/right tie rule on that segment alone, and one pair of such searches
+merges two batches stably.  Segment lengths, ids and keys are derived
+once per :class:`Ragged` and passed along, not re-derived per primitive.
+
 **Bit-identity contract.**  Every kernel performs exactly the floating-
 point operations of its object-path twin, in the same order, on the same
 values: shared elementwise cores live in ``core/piecewise.py``
 (``_interp_core``, ``_pseudo_inverse_core``, ``_sequential_sum``), the
-segmented searchsorted reproduces binary-search index semantics exactly,
-and segmented sums use the same ``np.add.reduceat`` (strict left-to-right)
-as ``PiecewiseConstant.integral``.  The differential suite
+segmented search finds the indices ``np.searchsorted`` finds on each
+segment, a merge tie keeps the first operand's value bits, and segmented
+sums use the same ``np.add.reduceat`` (strict left-to-right) as
+``PiecewiseConstant.integral``.  The primitives are checked against loop
+references (tests/kernel_oracle.py).  The differential suite
 (tests/test_array_kernel.py) asserts exact float equality of bounds
 against the object kernel on every bundled workload.  The object path
 stays in ``core/bound.py``: ``FdsbEngine`` sends small batches to it by
@@ -89,17 +100,33 @@ class Ragged:
     Segment ``i`` (one function) occupies the half-open slice
     ``offsets[i]:offsets[i+1]`` of the flat ``xs`` / ``ys`` buffers.  A
     zero-length segment is the empty ``PiecewiseConstant``; piecewise-
-    linear segments always hold at least one breakpoint.
+    linear segments always hold at least one breakpoint.  A batch of
+    query points has the same layout with ``ys`` None.
+
+    Segment lengths, the segment id of every element and the search keys
+    of ``xs``/``ys`` are derived once per batch and cached; kernels pass
+    them along where they know them (``lengths=``, ``ids=``, ``xkeys=``).
     """
 
-    __slots__ = ("xs", "ys", "offsets", "_ids", "_lengths")
+    __slots__ = ("xs", "ys", "offsets", "_lengths", "_ids", "_xkeys", "_ykeys")
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray) -> None:
+    def __init__(
+        self,
+        xs: np.ndarray,
+        ys: np.ndarray | None,
+        offsets: np.ndarray,
+        *,
+        lengths: np.ndarray | None = None,
+        ids: np.ndarray | None = None,
+        xkeys: np.ndarray | None = None,
+    ) -> None:
         self.xs = xs
         self.ys = ys
         self.offsets = offsets
-        self._ids = None
-        self._lengths = None
+        self._lengths = lengths
+        self._ids = ids
+        self._xkeys = xkeys
+        self._ykeys = None
 
     @property
     def batch(self) -> int:
@@ -107,14 +134,30 @@ class Ragged:
 
     def lengths(self) -> np.ndarray:
         if self._lengths is None:
-            self._lengths = np.diff(self.offsets)
+            self._lengths = self.offsets[1:] - self.offsets[:-1]
         return self._lengths
 
     def ids(self) -> np.ndarray:
         """Segment id of every flat element (cached)."""
         if self._ids is None:
-            self._ids = np.repeat(np.arange(self.batch), self.lengths())
+            self._ids = _ids_from_lengths(self.lengths())
         return self._ids
+
+    def xkeys(self) -> np.ndarray:
+        """Search keys of ``xs`` (cached; see :func:`_keys`)."""
+        if self._xkeys is None:
+            self._xkeys = _keys(self.ids(), self.xs)
+        return self._xkeys
+
+    def ykeys(self) -> np.ndarray:
+        """Search keys of ``ys`` (cached; see :func:`_keys`)."""
+        if self._ykeys is None:
+            self._ykeys = _keys(self.ids(), self.ys)
+        return self._ykeys
+
+    def points(self, xs: np.ndarray) -> "Ragged":
+        """Query points ``xs`` laid out like this batch's elements."""
+        return Ragged(xs, None, self.offsets, lengths=self.lengths(), ids=self.ids())
 
     @staticmethod
     def from_functions(funcs) -> "Ragged":
@@ -148,7 +191,7 @@ class Ragged:
         else:
             xs = np.empty(0)
             ys = np.empty(0)
-        return Ragged(xs, ys, offsets)
+        return Ragged(xs, ys, offsets, lengths=lengths)
 
     def segment_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The (xs, ys) slice of segment ``i`` (views, for tests)."""
@@ -163,46 +206,63 @@ def _offsets_from_lengths(lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ids_from_offsets(offsets: np.ndarray) -> np.ndarray:
-    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+def _ids_from_lengths(lengths: np.ndarray) -> np.ndarray:
+    return np.arange(len(lengths)).repeat(lengths)
+
+
+def _keys(ids: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Sort keys ordering elements by (segment id, value).
+
+    numpy orders complex numbers lexicographically — real part first —
+    so ``complex128`` keys with ``.real`` the segment id and ``.imag`` the
+    value make one ``np.searchsorted`` over a segment-sorted array a
+    per-segment search.  Within a segment the order is exactly the float
+    order of the values (``-0.0 == 0.0``, ``±inf`` at the ends).  The
+    parts are assigned, never computed as ``ids + 1j * vals``: ``1j * inf``
+    is ``nan+infj``.
+    """
+    keys = np.empty(len(vals), dtype=np.complex128)
+    keys.real = ids
+    keys.imag = vals
+    return keys
+
+
+def _kept_offsets(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Segment offsets of the elements that ``mask`` keeps."""
+    kept = np.empty(len(mask) + 1, dtype=np.int64)
+    kept[0] = 0
+    np.cumsum(mask, out=kept[1:])
+    return kept[offsets]
 
 
 def _firsts(vals: np.ndarray, offsets: np.ndarray, default: float = 0.0) -> np.ndarray:
     """Per-segment first element (``default`` for empty segments)."""
-    lengths = np.diff(offsets)
-    out = np.full(len(lengths), default)
-    nz = lengths > 0
+    out = np.full(len(offsets) - 1, default)
+    nz = offsets[1:] > offsets[:-1]
     out[nz] = vals[offsets[:-1][nz]]
     return out
 
 
 def _lasts(vals: np.ndarray, offsets: np.ndarray, default: float = 0.0) -> np.ndarray:
     """Per-segment last element (``default`` for empty segments)."""
-    lengths = np.diff(offsets)
-    out = np.full(len(lengths), default)
-    nz = lengths > 0
+    out = np.full(len(offsets) - 1, default)
+    nz = offsets[1:] > offsets[:-1]
     out[nz] = vals[offsets[1:][nz] - 1]
     return out
 
 
-def _filter_elements(
-    vals: np.ndarray, offsets: np.ndarray, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keep masked elements, preserving segment structure."""
-    ids = _ids_from_offsets(offsets)
-    counts = np.bincount(ids[mask], minlength=len(offsets) - 1)
-    return vals[mask], _offsets_from_lengths(counts)
+def _filter_points(vals: np.ndarray, offsets: np.ndarray, mask: np.ndarray) -> Ragged:
+    """Keep masked elements as query points, preserving segment structure."""
+    return Ragged(vals[mask], None, _kept_offsets(mask, offsets))
 
 
 def _prev_in_segment(vals: np.ndarray, offsets: np.ndarray, fill: float) -> np.ndarray:
     """Element shifted right by one within each segment, ``fill`` at starts."""
-    out = np.empty_like(vals)
-    if len(vals):
-        out[1:] = vals[:-1]
-        out[0] = fill
-        lengths = np.diff(offsets)
-        out[offsets[:-1][lengths > 0]] = fill
-    return out
+    # One spare slot takes the start offset of trailing empty segments.
+    out = np.empty(len(vals) + 1, dtype=vals.dtype)
+    out[1:-1] = vals[:-1]
+    out[offsets[:-1]] = fill
+    return out[:-1]
 
 
 def _append_where(
@@ -211,28 +271,29 @@ def _append_where(
     """Append ``extra[i]`` to the end of segment ``i`` where ``need[i]``."""
     if not need.any():
         return vals, offsets
-    lengths = np.diff(offsets)
-    new_off = _offsets_from_lengths(lengths + need.astype(np.int64))
+    lengths = offsets[1:] - offsets[:-1]
+    new_off = _offsets_from_lengths(lengths + need)
     out = np.empty(new_off[-1])
-    ids = _ids_from_offsets(offsets)
-    local = np.arange(len(vals)) - offsets[:-1][ids]
-    out[new_off[:-1][ids] + local] = vals
+    out[(new_off[:-1] - offsets[:-1]).repeat(lengths) + np.arange(len(vals))] = vals
     out[new_off[1:][need] - 1] = extra[need]
     return out, new_off
 
 
 def _gather_segments(r: Ragged, sel: np.ndarray) -> Ragged:
     """The sub-batch made of segments ``sel`` (in the given order)."""
-    lengths = np.diff(r.offsets)[sel]
+    lengths = r.lengths()[sel]
     offsets = _offsets_from_lengths(lengths)
-    ids = _ids_from_offsets(offsets)
-    pos = r.offsets[:-1][sel][ids] + (np.arange(offsets[-1]) - offsets[:-1][ids])
-    return Ragged(r.xs[pos], r.ys[pos], offsets)
+    ids = _ids_from_lengths(lengths)
+    pos = (r.offsets[:-1][sel] - offsets[:-1])[ids] + np.arange(offsets[-1])
+    return Ragged(r.xs[pos], r.ys[pos], offsets, lengths=lengths, ids=ids)
 
 
 def _scatter_segments(parts: list[tuple[np.ndarray, Ragged]], batch: int) -> Ragged:
-    """Reassemble a batch of ``batch`` segments from indexed sub-batches;
+    """Reassemble a batch of ``batch`` segments from indexed sub-batches
+    (each ``sel`` sorted and distinct, as ``np.flatnonzero`` returns it);
     segments covered by no part come out empty."""
+    if len(parts) == 1 and len(parts[0][0]) == batch:
+        return parts[0][1]  # ``sel`` is every segment, in order
     lengths = np.zeros(batch, dtype=np.int64)
     for sel, sub in parts:
         lengths[sel] = sub.lengths()
@@ -240,94 +301,86 @@ def _scatter_segments(parts: list[tuple[np.ndarray, Ragged]], batch: int) -> Rag
     xs = np.empty(offsets[-1])
     ys = np.empty(offsets[-1])
     for sel, sub in parts:
-        ids = sub.ids()
-        pos = offsets[:-1][sel][ids] + (np.arange(len(sub.xs)) - sub.offsets[:-1][ids])
+        shift = offsets[:-1][sel] - sub.offsets[:-1]
+        pos = shift.repeat(sub.lengths()) + np.arange(len(sub.xs))
         xs[pos] = sub.xs
         ys[pos] = sub.ys
-    return Ragged(xs, ys, offsets)
+    return Ragged(xs, ys, offsets, lengths=lengths)
+
+
+def _select_segments(r: Ragged, sel: np.ndarray) -> Ragged:
+    """The sub-batch of segments ``sel`` (sorted and distinct); ``r``
+    itself when that is every segment."""
+    return r if len(sel) == r.batch else _gather_segments(r, sel)
 
 
 # ----------------------------------------------------------------------
 # Segmented primitives
 # ----------------------------------------------------------------------
 def _seg_searchsorted(
-    a_vals: np.ndarray,
+    a_keys: np.ndarray,
     a_offsets: np.ndarray,
-    q_vals: np.ndarray,
-    q_offsets: np.ndarray,
+    q_keys: np.ndarray,
+    q_ids: np.ndarray,
     side: str,
 ) -> np.ndarray:
     """``np.searchsorted`` of every query against its own segment.
 
-    A vectorized binary search with the same comparison semantics as the
-    scalar routine, so indices — and therefore every downstream gather —
-    match the object path exactly.  Returns segment-local indices.
+    ``a_keys`` / ``q_keys`` are the :func:`_keys` of the segment-sorted
+    searched values and of the queries, ``q_ids`` the segment of every
+    query.  One ``np.searchsorted`` over the keys finds each query's slot
+    within its own segment — the keys of every other segment sort wholly
+    before or after it — and subtracting the segment base makes the index
+    segment-local.  The tie contract is ``np.searchsorted``'s on the
+    segment alone: ``side="left"`` lands before values equal to the query,
+    ``side="right"`` after them, with float equality (``-0.0 == 0.0``).
     """
-    if not len(q_vals):
-        return np.zeros(0, dtype=np.int64)
-    qb = _ids_from_offsets(q_offsets)
-    base = a_offsets[:-1][qb]
-    lo = base.copy()
-    hi = a_offsets[1:][qb].copy()
-    if len(a_vals):
-        maxi = len(a_vals) - 1
-        right = side == "right"
-        while True:
-            act = lo < hi
-            if not act.any():
-                break
-            mid = (lo + hi) >> 1
-            av = a_vals[np.minimum(mid, maxi)]
-            go = (av <= q_vals) if right else (av < q_vals)
-            go &= act
-            hi = np.where(act & ~go, mid, hi)
-            lo = np.where(go, mid + 1, lo)
-    return lo - base
+    return np.searchsorted(a_keys, q_keys, side=side) - a_offsets[:-1][q_ids]
 
 
-def _seg_merge_unique(
-    a_vals: np.ndarray,
-    a_off: np.ndarray,
-    b_vals: np.ndarray,
-    b_off: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment ``np.unique(np.concatenate((a, b)))`` for segment-sorted
-    inputs: a stable vectorized merge followed by an equality dedupe."""
-    batch = len(a_off) - 1
-    ia = _seg_searchsorted(b_vals, b_off, a_vals, a_off, "left")
-    ib = _seg_searchsorted(a_vals, a_off, b_vals, b_off, "right")
-    aidx = _ids_from_offsets(a_off)
-    bidx = _ids_from_offsets(b_off)
-    m_off = _offsets_from_lengths(np.diff(a_off) + np.diff(b_off))
-    merged = np.empty(m_off[-1])
-    merged[m_off[:-1][aidx] + (np.arange(len(a_vals)) - a_off[:-1][aidx]) + ia] = a_vals
-    merged[m_off[:-1][bidx] + (np.arange(len(b_vals)) - b_off[:-1][bidx]) + ib] = b_vals
-    mb = _ids_from_offsets(m_off)
+def _seg_merge_unique(a: Ragged, b: Ragged) -> Ragged:
+    """Per-segment ``np.unique(np.concatenate((a, b)))`` of the ``xs`` of
+    two segment-sorted batches, as query points.
+
+    One stable merge on the keys: an element of ``a`` lands ahead of equal
+    elements of ``b``, so a tie keeps ``a``'s value bits (``-0.0`` vs
+    ``0.0``).  Consecutive equal keys — same segment, equal value — are
+    then deduplicated to their first element.
+    """
+    ak = a.xkeys()
+    bk = b.xkeys()
+    merged = np.empty(len(ak) + len(bk), dtype=np.complex128)
+    merged[np.searchsorted(bk, ak, side="left") + np.arange(len(ak))] = ak
+    merged[np.searchsorted(ak, bk, side="right") + np.arange(len(bk))] = bk
     keep = np.empty(len(merged), dtype=bool)
-    if len(merged):
-        keep[0] = True
-        keep[1:] = (merged[1:] != merged[:-1]) | (mb[1:] != mb[:-1])
-        counts = np.bincount(mb[keep], minlength=batch)
-        return merged[keep], _offsets_from_lengths(counts)
-    return merged, m_off
+    keep[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    keys = merged[keep]
+    offsets = _kept_offsets(keep, a.offsets + b.offsets)
+    return Ragged(keys.imag.copy(), None, offsets, xkeys=keys)
 
 
-def _seg_interp(q_vals: np.ndarray, q_off: np.ndarray, f: Ragged) -> np.ndarray:
+def _seg_bracket(idx: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The object path's ``(i0, i1)`` bracket of a ``searchsorted`` index
+    ``idx`` into a segment of ``n`` points (both 0 for a single point)."""
+    single = n <= 1
+    i1 = np.where(single, 0, np.minimum(np.maximum(idx, 1), np.maximum(n - 1, 1)))
+    i0 = np.where(single, 0, i1 - 1)
+    return i0, i1
+
+
+def _seg_interp(q: Ragged, f: Ragged) -> np.ndarray:
     """Evaluate piecewise-linear segments at ragged query points — the
     batched twin of ``PiecewiseLinear.__call__`` (same ``_interp_core``)."""
-    if not len(q_vals):
+    if not len(q.xs):
         return np.zeros(0)
-    qb = _ids_from_offsets(q_off)
-    n = np.diff(f.offsets)[qb]
-    idx = _seg_searchsorted(f.xs, f.offsets, q_vals, q_off, "right")
-    i1 = np.clip(idx, 1, np.maximum(n - 1, 1))
-    single = n <= 1
-    i1 = np.where(single, 0, i1)
-    i0 = np.where(single, 0, i1 - 1)
+    qb = q.ids()
+    idx = _seg_searchsorted(f.xkeys(), f.offsets, q.xkeys(), qb, "right")
+    i0, i1 = _seg_bracket(idx, f.lengths()[qb])
     base = f.offsets[:-1][qb]
     last = f.offsets[1:][qb] - 1
     return _interp_core(
-        q_vals,
+        q.xs,
         f.xs[base + i0],
         f.xs[base + i1],
         f.ys[base + i0],
@@ -339,21 +392,17 @@ def _seg_interp(q_vals: np.ndarray, q_off: np.ndarray, f: Ragged) -> np.ndarray:
     )
 
 
-def _seg_inverse_values(v_vals: np.ndarray, v_off: np.ndarray, f: Ragged) -> np.ndarray:
+def _seg_inverse_values(v: Ragged, f: Ragged) -> np.ndarray:
     """Batched twin of ``PiecewiseLinear.inverse_values`` (pseudo-inverse)."""
-    if not len(v_vals):
+    if not len(v.xs):
         return np.zeros(0)
-    vb = _ids_from_offsets(v_off)
-    n = np.diff(f.offsets)[vb]
-    idx = _seg_searchsorted(f.ys, f.offsets, v_vals, v_off, "left")
-    i1 = np.clip(idx, 1, np.maximum(n - 1, 1))
-    single = n <= 1
-    i1 = np.where(single, 0, i1)
-    i0 = np.where(single, 0, i1 - 1)
+    vb = v.ids()
+    idx = _seg_searchsorted(f.ykeys(), f.offsets, v.xkeys(), vb, "left")
+    i0, i1 = _seg_bracket(idx, f.lengths()[vb])
     base = f.offsets[:-1][vb]
     last = f.offsets[1:][vb] - 1
     return _pseudo_inverse_core(
-        v_vals,
+        v.xs,
         f.xs[base + i0],
         f.xs[base + i1],
         f.ys[base + i0],
@@ -365,86 +414,71 @@ def _seg_inverse_values(v_vals: np.ndarray, v_off: np.ndarray, f: Ragged) -> np.
     )
 
 
-def _seg_dedupe_pl(
-    xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _seg_dedupe_pl(xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray) -> Ragged:
     """Per-segment ``_dedupe_breakpoints`` (the PiecewiseLinear constructor
     normalisation), including its keep-the-domain-end tail rule."""
     n = len(xs)
     if n == 0:
-        return xs, ys, offsets
-    lengths = np.diff(offsets)
-    ids = _ids_from_offsets(offsets)
-    keep = np.empty(n, dtype=bool)
-    keep[1:] = (xs[1:] - xs[:-1]) > _EPS
-    starts = offsets[:-1][lengths > 0]
-    keep[starts] = True
+        return Ragged(xs, ys, offsets)
+    lengths = offsets[1:] - offsets[:-1]
+    keep = np.empty(n + 1, dtype=bool)
+    np.greater(xs[1:] - xs[:-1], _EPS, out=keep[1:n])
+    keep[offsets[:-1]] = True  # segment starts; the spare slot absorbs n
+    keep = keep[:n]
     # Tail rule for multi-point segments whose final breakpoint got dropped:
     # force-keep it, and drop its predecessor instead when they are within
     # _EPS (unless the predecessor is the segment start).
-    runmax = np.maximum.accumulate(np.where(keep, np.arange(n), -1))
     multi = lengths > 1
     ml = (offsets[1:] - 1)[multi]
     need_fix = ~keep[ml]
-    keep[ml] = True
-    fix_last = ml[need_fix]
-    prev = runmax[fix_last - 1]
-    cond = (xs[fix_last] - xs[prev]) <= _EPS
-    pp = prev[cond]
-    keep[pp] = pp == offsets[:-1][multi][need_fix][cond]
-    counts = np.bincount(ids[keep], minlength=len(lengths))
-    return xs[keep], ys[keep], _offsets_from_lengths(counts)
+    if need_fix.any():
+        runmax = np.maximum.accumulate(np.where(keep, np.arange(n), -1))
+        keep[ml] = True
+        fix_last = ml[need_fix]
+        prev = runmax[fix_last - 1]
+        cond = (xs[fix_last] - xs[prev]) <= _EPS
+        pp = prev[cond]
+        keep[pp] = pp == offsets[:-1][multi][need_fix][cond]
+    return Ragged(xs[keep], ys[keep], _kept_offsets(keep, offsets))
 
 
-def _seg_simplify_pc(
-    xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _seg_simplify_pc(xs: np.ndarray, ys: np.ndarray, offsets: np.ndarray) -> Ragged:
     """Per-segment ``PiecewiseConstant.simplify`` (merge equal-value runs)."""
     n = len(xs)
     if n == 0:
-        return xs, ys, offsets
-    lengths = np.diff(offsets)
-    ids = _ids_from_offsets(offsets)
-    keep = np.zeros(n, dtype=bool)
-    lastpos = (offsets[1:] - 1)[lengths > 0]
-    keep[lastpos] = True
-    inner = np.ones(n, dtype=bool)
-    inner[lastpos] = False
-    j = np.flatnonzero(inner)
-    keep[j] = np.abs(ys[j + 1] - ys[j]) > _EPS * (1.0 + np.abs(ys[j]))
-    counts = np.bincount(ids[keep], minlength=len(lengths))
-    return xs[keep], ys[keep], _offsets_from_lengths(counts)
-
+        return Ragged(xs, ys, offsets)
+    keep = np.empty(n, dtype=bool)
+    np.greater(np.abs(ys[1:] - ys[:-1]), _EPS * (1.0 + np.abs(ys[:-1])), out=keep[:-1])
+    keep[offsets[1:] - 1] = True  # segment ends (an empty one's is its predecessor's)
+    return Ragged(xs[keep], ys[keep], _kept_offsets(keep, offsets))
 
 # ----------------------------------------------------------------------
 # Batched piecewise operations
 # ----------------------------------------------------------------------
 def batch_delta(f: Ragged) -> Ragged:
     """Batched ``PiecewiseLinear.delta``: per-segment derivative steps."""
-    lengths = f.lengths()
-    if not len(f.xs):
+    n = len(f.xs)
+    if not n:
         return Ragged(f.xs, f.ys, f.offsets)
-    notfirst = np.ones(len(f.xs), dtype=bool)
-    notfirst[f.offsets[:-1][lengths > 0]] = False
-    j = np.flatnonzero(notfirst)
+    notfirst = np.ones(n + 1, dtype=bool)
+    notfirst[f.offsets[:-1]] = False  # segment starts; the spare slot absorbs n
+    j = np.flatnonzero(notfirst[:n])
     xs = f.xs[j]
     slopes = (f.ys[j] - f.ys[j - 1]) / (f.xs[j] - f.xs[j - 1])
-    offsets = _offsets_from_lengths(np.maximum(lengths - 1, 0))
-    return Ragged(*_seg_simplify_pc(xs, slopes, offsets))
+    offsets = _offsets_from_lengths(np.maximum(f.lengths() - 1, 0))
+    return _seg_simplify_pc(xs, slopes, offsets)
 
 
 def batch_inverse(f: Ragged) -> Ragged:
     """Batched ``PiecewiseLinear.inverse`` (leftmost-x pseudo-inverse)."""
-    lengths = f.lengths()
-    if not len(f.xs):
+    n = len(f.xs)
+    if not n:
         return Ragged(f.xs, f.ys, f.offsets)
-    first = np.zeros(len(f.xs), dtype=bool)
-    first[f.offsets[:-1][lengths > 0]] = True
-    keep = first.copy()
-    j = np.flatnonzero(~first)
-    keep[j] = (f.ys[j] - f.ys[j - 1]) > _EPS
-    counts = np.bincount(f.ids()[keep], minlength=f.batch)
-    return Ragged(*_seg_dedupe_pl(f.ys[keep], f.xs[keep], _offsets_from_lengths(counts)))
+    keep = np.empty(n + 1, dtype=bool)
+    np.greater(f.ys[1:] - f.ys[:-1], _EPS, out=keep[1:n])
+    keep[f.offsets[:-1]] = True  # segment starts; the spare slot absorbs n
+    keep = keep[:n]
+    return _seg_dedupe_pl(f.ys[keep], f.xs[keep], _kept_offsets(keep, f.offsets))
 
 
 def batch_compose(outer: Ragged, inner: Ragged) -> Ragged:
@@ -453,80 +487,76 @@ def batch_compose(outer: Ragged, inner: Ragged) -> Ragged:
     lo_y = _firsts(inner.ys, inner.offsets)
     hi_y = _lasts(inner.ys, inner.offsets)
     mask = (outer.xs > lo_y[ob] + _EPS) & (outer.xs < hi_y[ob] - _EPS)
-    int_vals, int_off = _filter_elements(outer.xs, outer.offsets, mask)
-    inv_vals = _seg_inverse_values(int_vals, int_off, inner)
-    xs, xoff = _seg_merge_unique(inner.xs, inner.offsets, inv_vals, int_off)
-    ys = _seg_interp(_seg_interp(xs, xoff, inner), xoff, outer)
-    return Ragged(*_seg_dedupe_pl(xs, ys, xoff))
+    interior = _filter_points(outer.xs, outer.offsets, mask)
+    inv = interior.points(_seg_inverse_values(interior, inner))
+    grid = _seg_merge_unique(inner, inv)
+    ys = _seg_interp(grid.points(_seg_interp(grid, inner)), outer)
+    return _seg_dedupe_pl(grid.xs, ys, grid.offsets)
 
 
 def batch_compose_with(f: Ragged, inner: Ragged) -> Ragged:
     """Batched ``PiecewiseConstant.compose_with``: ``x -> f(inner(x))`` for
     nondecreasing piecewise-linear ``inner`` (the beta-step kernel)."""
-    lf = f.lengths()
-    li = inner.lengths()
-    alive = (lf > 0) & (li >= 2)
-    if not alive.any():
-        return Ragged(np.empty(0), np.empty(0), np.zeros(f.batch + 1, dtype=np.int64))
+    alive = (f.lengths() > 0) & (inner.lengths() >= 2)
     ai = np.flatnonzero(alive)
-    f2 = _gather_segments(f, ai)
-    in2 = _gather_segments(inner, ai)
-    inner_end = _lasts(in2.xs, in2.offsets)
+    if not len(ai):
+        return Ragged(np.empty(0), np.empty(0), np.zeros(f.batch + 1, dtype=np.int64))
+    f2 = _select_segments(f, ai)
+    in2 = _select_segments(inner, ai)
+    # Every segment left holds >= 1 step (f2) and >= 2 breakpoints (in2).
+    f_start, f_last = f2.offsets[:-1], f2.offsets[1:] - 1
+    in_start, in_last = in2.offsets[:-1], in2.offsets[1:] - 1
+    inner_end = in2.xs[in_last]
     # Candidate edges: inner's own breakpoints (minus the leading one) plus
     # the preimages of f's segment edges interior to inner's value range.
     notfirst = np.ones(len(in2.xs), dtype=bool)
-    notfirst[in2.offsets[:-1]] = False
-    a_vals = in2.xs[notfirst]
-    a_off = _offsets_from_lengths(in2.lengths() - 1)
-    lo_y = _firsts(in2.ys, in2.offsets)
-    hi_y = _lasts(in2.ys, in2.offsets)
+    notfirst[in_start] = False
+    own = Ragged(in2.xs[notfirst], None, _offsets_from_lengths(in2.lengths() - 1))
     fb = f2.ids()
-    im = (f2.xs > lo_y[fb] + _EPS) & (f2.xs < hi_y[fb] - _EPS)
-    b_vals, b_off = _filter_elements(f2.xs, f2.offsets, im)
-    binv = _seg_inverse_values(b_vals, b_off, in2)
-    e_vals, e_off = _seg_merge_unique(a_vals, a_off, binv, b_off)
-    eb = _ids_from_offsets(e_off)
-    fm = (e_vals > _EPS) & (e_vals <= inner_end[eb] + _EPS)
-    e_vals, e_off = _filter_elements(e_vals, e_off, fm)
+    im = (f2.xs > in2.ys[in_start][fb] + _EPS) & (f2.xs < in2.ys[in_last][fb] - _EPS)
+    pre = _filter_points(f2.xs, f2.offsets, im)
+    edges = _seg_merge_unique(own, pre.points(_seg_inverse_values(pre, in2)))
+    fm = (edges.xs > _EPS) & (edges.xs <= inner_end[edges.ids()] + _EPS)
+    e_vals, e_off = edges.xs[fm], _kept_offsets(fm, edges.offsets)
     last_e = _lasts(e_vals, e_off, default=-np.inf)
-    need = (np.diff(e_off) == 0) | (last_e < inner_end - _EPS)
+    need = (e_off[1:] == e_off[:-1]) | (last_e < inner_end - _EPS)
     e_vals, e_off = _append_where(e_vals, e_off, inner_end, need)
-    mids = (_prev_in_segment(e_vals, e_off, 0.0) + e_vals) / 2.0
-    ivals = _seg_interp(mids, e_off, in2)
-    eb2 = _ids_from_offsets(e_off)
-    idx = _seg_searchsorted(f2.xs, f2.offsets, ivals, e_off, "left")
-    idx = np.minimum(idx, (f2.lengths() - 1)[eb2])
-    f_end = _lasts(f2.xs, f2.offsets)
-    inside = (ivals > 0) & (ivals <= f_end[eb2] + _EPS)
-    vals = np.where(inside, f2.ys[f2.offsets[:-1][eb2] + idx], 0.0)
-    sub = Ragged(*_seg_simplify_pc(e_vals, vals, e_off))
-    return _scatter_segments([(ai, sub)], f.batch)
+    e = Ragged(e_vals, None, e_off)
+    mids = (_prev_in_segment(e.xs, e.offsets, 0.0) + e.xs) / 2.0
+    inner_vals = e.points(_seg_interp(e.points(mids), in2))
+    eb = e.ids()
+    idx = _seg_searchsorted(f2.xkeys(), f2.offsets, inner_vals.xkeys(), eb, "left")
+    idx = np.minimum(idx, (f2.lengths() - 1)[eb])
+    iv = inner_vals.xs
+    inside = (iv > 0) & (iv <= f2.xs[f_last][eb] + _EPS)
+    vals = np.where(inside, f2.ys[f_start[eb] + idx], 0.0)
+    return _scatter_segments([(ai, _seg_simplify_pc(e.xs, vals, e.offsets))], f.batch)
 
 
 def batch_multiply(a: Ragged, b: Ragged) -> Ragged:
     """Batched ``PiecewiseConstant.multiply`` (the alpha-step kernel)."""
     end = np.minimum(_lasts(a.xs, a.offsets, 0.0), _lasts(b.xs, b.offsets, 0.0))
     alive = end > 0
-    if not alive.any():
-        return Ragged(np.empty(0), np.empty(0), np.zeros(a.batch + 1, dtype=np.int64))
     ai = np.flatnonzero(alive)
-    a2 = _gather_segments(a, ai)
-    b2 = _gather_segments(b, ai)
+    if not len(ai):
+        return Ragged(np.empty(0), np.empty(0), np.zeros(a.batch + 1, dtype=np.int64))
+    a2 = _select_segments(a, ai)
+    b2 = _select_segments(b, ai)
     end2 = end[ai]
-    e_vals, e_off = _seg_merge_unique(a2.xs, a2.offsets, b2.xs, b2.offsets)
-    eb = _ids_from_offsets(e_off)
-    e_vals, e_off = _filter_elements(e_vals, e_off, e_vals <= end2[eb] + _EPS)
+    grid = _seg_merge_unique(a2, b2)
+    fm = grid.xs <= end2[grid.ids()] + _EPS
+    e_vals, e_off = grid.xs[fm], _kept_offsets(fm, grid.offsets)
     last_e = _lasts(e_vals, e_off, default=-np.inf)
-    need = (np.diff(e_off) == 0) | (last_e < end2 - _EPS)
+    need = (e_off[1:] == e_off[:-1]) | (last_e < end2 - _EPS)
     e_vals, e_off = _append_where(e_vals, e_off, end2, need)
-    eb2 = _ids_from_offsets(e_off)
-    ia = _seg_searchsorted(a2.xs, a2.offsets, e_vals, e_off, "left")
-    ia = np.minimum(ia, (a2.lengths() - 1)[eb2])
-    ib = _seg_searchsorted(b2.xs, b2.offsets, e_vals, e_off, "left")
-    ib = np.minimum(ib, (b2.lengths() - 1)[eb2])
-    vals = a2.ys[a2.offsets[:-1][eb2] + ia] * b2.ys[b2.offsets[:-1][eb2] + ib]
-    sub = Ragged(*_seg_simplify_pc(e_vals, vals, e_off))
-    return _scatter_segments([(ai, sub)], a.batch)
+    e = Ragged(e_vals, None, e_off)
+    eb = e.ids()
+    ia = _seg_searchsorted(a2.xkeys(), a2.offsets, e.xkeys(), eb, "left")
+    ia = np.minimum(ia, (a2.lengths() - 1)[eb])
+    ib = _seg_searchsorted(b2.xkeys(), b2.offsets, e.xkeys(), eb, "left")
+    ib = np.minimum(ib, (b2.lengths() - 1)[eb])
+    vals = a2.ys[a2.offsets[:-1][eb] + ia] * b2.ys[b2.offsets[:-1][eb] + ib]
+    return _scatter_segments([(ai, _seg_simplify_pc(e.xs, vals, e.offsets))], a.batch)
 
 
 def batch_constant(ends: np.ndarray, value: float = 1.0) -> Ragged:
@@ -553,43 +583,36 @@ def batch_integral(f: Ragged) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Batched pointwise combinations (predicate-conditioning algebra)
 # ----------------------------------------------------------------------
-def _batch_combined_grid(
-    parts: list[Ragged], ends: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _batch_combined_grid(parts: list[Ragged], ends: np.ndarray) -> Ragged:
     """Batched ``_combined_grid``: union of breakpoints within the domain
     plus the {0, end} anchors of every segment."""
     lo = np.minimum(0.0, ends)
     hi = np.maximum(0.0, ends)
-    acc_vals = np.column_stack((lo, hi)).ravel()
-    acc_off = _offsets_from_lengths(np.full(len(ends), 2, dtype=np.int64))
+    grid = Ragged(
+        np.column_stack((lo, hi)).ravel(), None, np.arange(0, 2 * len(ends) + 1, 2)
+    )
     for p in parts:
-        pb = p.ids()
-        f_vals, f_off = _filter_elements(p.xs, p.offsets, p.xs <= ends[pb] + _EPS)
-        acc_vals, acc_off = _seg_merge_unique(acc_vals, acc_off, f_vals, f_off)
-    gb = _ids_from_offsets(acc_off)
-    mask = (acc_vals >= -_EPS) & (acc_vals <= ends[gb] + _EPS)
-    return _filter_elements(acc_vals, acc_off, mask)
+        inside = _filter_points(p.xs, p.offsets, p.xs <= ends[p.ids()] + _EPS)
+        grid = _seg_merge_unique(grid, inside)
+    mask = (grid.xs >= -_EPS) & (grid.xs <= ends[grid.ids()] + _EPS)
+    return _filter_points(grid.xs, grid.offsets, mask)
 
 
-def _batch_crossings(
-    a: Ragged, b: Ragged, g_vals: np.ndarray, g_off: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _batch_crossings(a: Ragged, b: Ragged, grid: Ragged) -> Ragged:
     """Batched ``_crossings``: per-segment crossing points of two
     piecewise-linear functions between consecutive grid points."""
-    va = _seg_interp(g_vals, g_off, a)
-    vb = _seg_interp(g_vals, g_off, b)
-    d = va - vb
-    lengths = np.diff(g_off)
-    notlast = np.ones(len(g_vals), dtype=bool)
-    notlast[(g_off[1:] - 1)[lengths > 0]] = False
-    j = np.flatnonzero(notlast)
-    jj = j[d[j] * d[j + 1] < -_EPS]
-    x0, x1 = g_vals[jj], g_vals[jj + 1]
+    n = len(grid.xs)
+    if not n:
+        return grid
+    d = _seg_interp(grid, a) - _seg_interp(grid, b)
+    crosses = np.empty(n, dtype=bool)
+    np.less(d[:-1] * d[1:], -_EPS, out=crosses[:-1])
+    crosses[grid.offsets[1:] - 1] = False  # segment ends (an empty one's is its predecessor's)
+    jj = np.flatnonzero(crosses)
+    g = grid.xs
+    x0, x1 = g[jj], g[jj + 1]
     d0, d1 = d[jj], d[jj + 1]
-    cross = x0 + (x1 - x0) * (d0 / (d0 - d1))
-    ids = _ids_from_offsets(g_off)
-    counts = np.bincount(ids[jj], minlength=len(lengths))
-    return cross, _offsets_from_lengths(counts)
+    return Ragged(x0 + (x1 - x0) * (d0 / (d0 - d1)), None, _kept_offsets(crosses, grid.offsets))
 
 
 def _batch_pointwise(parts: list[Ragged], mode: str) -> Ragged:
@@ -607,20 +630,19 @@ def _batch_pointwise(parts: list[Ragged], mode: str) -> Ragged:
         ends = _lasts(parts[0].xs, parts[0].offsets)
         for p in parts[1:]:
             ends = combine(ends, _lasts(p.xs, p.offsets))
-    g_vals, g_off = _batch_combined_grid(parts, ends)
+    grid = _batch_combined_grid(parts, ends)
     if mode != "sum":
         for i in range(len(parts)):
             for j in range(i + 1, len(parts)):
-                c_vals, c_off = _batch_crossings(parts[i], parts[j], g_vals, g_off)
-                g_vals, g_off = _seg_merge_unique(g_vals, g_off, c_vals, c_off)
-    rows = np.vstack([_seg_interp(g_vals, g_off, p) for p in parts])
+                grid = _seg_merge_unique(grid, _batch_crossings(parts[i], parts[j], grid))
+    rows = np.vstack([_seg_interp(grid, p) for p in parts])
     if mode == "min":
         ys = np.min(rows, axis=0)
     elif mode == "max":
         ys = np.max(rows, axis=0)
     else:
         ys = np.sum(rows, axis=0)
-    return Ragged(*_seg_dedupe_pl(g_vals, ys, g_off))
+    return _seg_dedupe_pl(grid.xs, ys, grid.offsets)
 
 
 def batch_pointwise_min(parts: list[Ragged]) -> Ragged:
@@ -652,7 +674,7 @@ def batch_concave_envelope(f: Ragged) -> Ragged:
     if not proc.any():
         return f
     pi = np.flatnonzero(proc)
-    f2 = _gather_segments(f, pi)
+    f2 = _select_segments(f, pi)
     starts = f2.offsets[:-1]
     l2 = f2.lengths()
     bufx = np.empty(len(f2.xs))
@@ -688,9 +710,8 @@ def batch_concave_envelope(f: Ragged) -> Ragged:
             cand = popping[(top[popping] - starts[popping]) >= 3]
     hull_len = top - starts
     hull_off = _offsets_from_lengths(hull_len)
-    ids = _ids_from_offsets(hull_off)
-    pos = starts[ids] + (np.arange(hull_off[-1]) - hull_off[:-1][ids])
-    sub = Ragged(*_seg_dedupe_pl(bufx[pos], bufy[pos], hull_off))
+    pos = (starts - hull_off[:-1]).repeat(hull_len) + np.arange(hull_off[-1])
+    sub = _seg_dedupe_pl(bufx[pos], bufy[pos], hull_off)
     rest = np.flatnonzero(~proc)
     return _scatter_segments([(pi, sub), (rest, _gather_segments(f, rest))], f.batch)
 
@@ -705,9 +726,9 @@ def batch_concave_max(parts: list[Ragged]) -> Ragged:
     ends = _lasts(parts[0].xs, parts[0].offsets)
     for p in parts[1:]:
         ends = np.maximum(ends, _lasts(p.xs, p.offsets))
-    g_vals, g_off = _batch_combined_grid(parts, ends)
-    ys = np.max(np.vstack([_seg_interp(g_vals, g_off, p) for p in parts]), axis=0)
-    return batch_concave_envelope(Ragged(*_seg_dedupe_pl(g_vals, ys, g_off)))
+    grid = _batch_combined_grid(parts, ends)
+    ys = np.max(np.vstack([_seg_interp(grid, p) for p in parts]), axis=0)
+    return batch_concave_envelope(_seg_dedupe_pl(grid.xs, ys, grid.offsets))
 
 
 def batch_truncate_total(f: Ragged, totals: np.ndarray) -> Ragged:
@@ -729,7 +750,7 @@ def batch_truncate_total(f: Ragged, totals: np.ndarray) -> Ragged:
     parts: list[tuple[np.ndarray, Ragged]] = []
     ui = np.flatnonzero(unchanged)
     if len(ui):
-        parts.append((ui, _gather_segments(f, ui)))
+        parts.append((ui, _select_segments(f, ui)))
     fi = np.flatnonzero(floor)
     if len(fi):
         starts = f.offsets[:-1][fi]
@@ -748,16 +769,15 @@ def batch_truncate_total(f: Ragged, totals: np.ndarray) -> Ragged:
         sub = _gather_segments(f, ci)
         t = totals[ci]
         # One query value per segment: offsets are just 0..len(ci).
-        ones = np.arange(len(ci) + 1, dtype=np.int64)
-        x_cut = _seg_inverse_values(t, ones, sub)
+        caps = Ragged(t, None, np.arange(len(ci) + 1, dtype=np.int64))
+        x_cut = _seg_inverse_values(caps, sub)
         keep = sub.xs < (x_cut[sub.ids()] - _EPS)
-        kxs, koff = _filter_elements(sub.xs, sub.offsets, keep)
-        kys, _ = _filter_elements(sub.ys, sub.offsets, keep)
+        koff = _kept_offsets(keep, sub.offsets)
         need = np.ones(len(ci), dtype=bool)
-        xs2, off2 = _append_where(kxs, koff, x_cut, need)
-        ys2, _ = _append_where(kys, koff, t, need)
-        ys2 = np.minimum(ys2, t[_ids_from_offsets(off2)])
-        parts.append((ci, Ragged(*_seg_dedupe_pl(xs2, ys2, off2))))
+        xs2, off2 = _append_where(sub.xs[keep], koff, x_cut, need)
+        ys2, _ = _append_where(sub.ys[keep], koff, t, need)
+        ys2 = np.minimum(ys2, t.repeat(off2[1:] - off2[:-1]))
+        parts.append((ci, _seg_dedupe_pl(xs2, ys2, off2)))
     return _scatter_segments(parts, f.batch)
 
 
@@ -972,7 +992,7 @@ def _concat_ragged(parts: list[Ragged]) -> Ragged:
     lengths = np.concatenate([p.lengths() for p in parts])
     xs = np.concatenate([p.xs for p in parts])
     ys = np.concatenate([p.ys for p in parts])
-    return Ragged(xs, ys, _offsets_from_lengths(lengths))
+    return Ragged(xs, ys, _offsets_from_lengths(lengths), lengths=lengths)
 
 
 def _split_ragged(r: Ragged, counts: list[int]) -> list[Ragged]:

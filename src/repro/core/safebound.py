@@ -145,6 +145,16 @@ class SafeBound:
     def build_seconds(self) -> float:
         return self.stats.build_seconds if self.stats else 0.0
 
+    def adopt_engine(self, other: "SafeBound") -> None:
+        """Share ``other``'s bound engine and its compiled skeletons.
+
+        A skeleton depends only on the query shape and
+        ``max_spanning_trees``, never on the statistics, so a new version
+        of the same configuration reuses every shape compiled so far (the
+        engine's skeleton cache is lock-guarded).
+        """
+        self._engine = other._engine
+
     # ------------------------------------------------------------------
     # Persistence facade (over core/serialization.py)
     # ------------------------------------------------------------------

@@ -675,6 +675,9 @@ class CatalogBackedSafeBound(CardinalityEstimator):
         republish failed after publishing, or one fsck recovered) is not
         swapped to; the next republish supersedes it.
 
+        The incoming version takes over the outgoing one's bound engine,
+        so query shapes compiled before the swap stay compiled.
+
         The estimator owns a private from-disk copy of the version it
         serves (``fresh=True``): it mutates those statistics on every
         ``apply_insert``/``apply_delete``, which must never alias into the
@@ -692,6 +695,10 @@ class CatalogBackedSafeBound(CardinalityEstimator):
             stats = self.catalog.load(self.database, latest.version, fresh=True)
             sb = SafeBound(self.config)
             sb.stats = stats
+            with self._lock:
+                outgoing = self._safebound
+            if outgoing is not None:
+                sb.adopt_engine(outgoing)
             if db is not None:
                 sb.attach_update_tracking(db)
             with self._lock:

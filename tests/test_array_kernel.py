@@ -17,7 +17,11 @@ Three layers of coverage:
   estimator returns exactly the object kernel's bounds;
 * op-level hypothesis differential: every batched kernel against its
   object twin on generated piecewise inputs (breakpoint arrays compared
-  elementwise with ``==``).
+  elementwise with ``==``);
+* primitive-level hypothesis differential: the sorted-key segmented
+  search and merge against the bisection references in ``kernel_oracle``
+  and per-segment ``np.searchsorted``, on ragged inputs with ties, empty
+  and single-point segments, signed zeros and infinities.
 """
 
 from __future__ import annotations
@@ -28,7 +32,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_oracle import array_side, object_path_only, object_side
+from kernel_oracle import (
+    array_side,
+    bisect_merge_unique,
+    bisect_searchsorted,
+    object_path_only,
+    object_side,
+)
 
 from repro.core import arraykernel as ak
 from repro.core import piecewise as pw
@@ -389,3 +399,69 @@ class TestOpEdgeCases:
             # Disconnected shape: zero single-table card zeroes the product.
             sk2 = engine.compile(lone)
             assert engine.bound_batch_compiled([(sk2, {}, {"a": 0.0, "c": 123.0})]) == [0.0]
+
+
+# ----------------------------------------------------------------------
+# Segmented search and merge against the loop references
+# ----------------------------------------------------------------------
+# A small pool makes ties within a segment common; signed zeros and
+# infinities sit in it beside arbitrary finite floats.
+search_values = st.one_of(
+    st.sampled_from([-np.inf, -2.0, -0.0, 0.0, 0.5, 1.0, np.inf]),
+    st.floats(allow_nan=False, allow_infinity=True),
+)
+
+
+def _pack(segments) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, offsets, segment ids) of a list of per-segment lists."""
+    lengths = np.array([len(seg) for seg in segments], dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    vals = np.array([v for seg in segments for v in seg], dtype=float)
+    return vals, offsets, np.repeat(np.arange(len(segments)), lengths)
+
+
+@st.composite
+def ragged_pairs(draw, sorted_queries: bool):
+    """A segment-sorted ragged batch and a ragged batch of queries with
+    the same number of segments (either may hold empty segments)."""
+    batch = draw(st.integers(min_value=1, max_value=5))
+    seg = st.lists(search_values, max_size=6)
+    searched = [sorted(draw(seg)) for _ in range(batch)]
+    queries = [draw(seg) for _ in range(batch)]
+    if sorted_queries:
+        queries = [sorted(q) for q in queries]
+    return _pack(searched), _pack(queries)
+
+
+class TestSegmentedPrimitives:
+    @given(ragged_pairs(sorted_queries=False), st.sampled_from(["left", "right"]))
+    @settings(max_examples=300)
+    def test_seg_searchsorted_matches_references(self, pair, side):
+        (a, a_off, a_ids), (q, q_off, q_ids) = pair
+        got = ak._seg_searchsorted(
+            ak._keys(a_ids, a), a_off, ak._keys(q_ids, q), q_ids, side
+        )
+        assert np.array_equal(got, bisect_searchsorted(a, a_off, q, q_off, side))
+        per_segment = [
+            np.searchsorted(a[a_off[i] : a_off[i + 1]], q[q_off[i] : q_off[i + 1]], side)
+            for i in range(len(a_off) - 1)
+        ]
+        assert np.array_equal(got, np.concatenate(per_segment))
+
+    @given(ragged_pairs(sorted_queries=True))
+    @settings(max_examples=300)
+    def test_seg_merge_unique_matches_reference_bits(self, pair):
+        (a, a_off, _), (b, b_off, _) = pair
+        got = ak._seg_merge_unique(ak.Ragged(a, None, a_off), ak.Ragged(b, None, b_off))
+        want, want_off = bisect_merge_unique(a, a_off, b, b_off)
+        assert np.array_equal(got.offsets, want_off)
+        assert np.array_equal(got.xs.view(np.int64), want.view(np.int64))
+
+    def test_merge_tie_keeps_the_first_operands_bits(self):
+        a, a_off, _ = _pack([[0.0], [-0.0, np.inf], []])
+        b, b_off, _ = _pack([[-0.0], [0.0, np.inf], [-np.inf]])
+        got = ak._seg_merge_unique(ak.Ragged(a, None, a_off), ak.Ragged(b, None, b_off))
+        assert list(got.offsets) == [0, 1, 3, 4]
+        assert np.array_equal(
+            got.xs.view(np.int64), np.array([0.0, -0.0, np.inf, -np.inf]).view(np.int64)
+        )

@@ -10,6 +10,7 @@ import pytest
 from repro.core.predicates import Eq, Range
 from repro.core.safebound import SafeBound
 from repro.db.query import Query
+from repro.obs.metrics import metrics_installed
 from repro.service.catalog import CatalogBackedSafeBound, StatsCatalog
 
 
@@ -262,6 +263,31 @@ class TestCatalogBackedSafeBound:
         assert estimator.version == 2
         for q in _queries():
             assert estimator.estimate(q) == built.bound(q)
+
+    def test_refresh_keeps_compiled_skeletons(self, tiny_db, tmp_path):
+        """A swap hands the outgoing engine to the incoming version: shapes
+        bounded before it are not compiled again, and the bounds equal a
+        fresh engine's on the new statistics."""
+        catalog = StatsCatalog(tmp_path)
+        estimator = CatalogBackedSafeBound(catalog, "tiny")
+        estimator.build(tiny_db)
+        estimator.estimate_batch(_queries())
+        estimator.apply_insert("fact", {
+            "id": np.arange(600000, 600040),
+            "dim_id": np.arange(40) % 7,
+            "score": np.full(40, 3, dtype=np.int64),
+            "tag": np.zeros(40, dtype=np.int64),
+        })
+        catalog.publish(
+            "tiny", estimator._current().stats, metadata=estimator.build_metadata()
+        )
+        assert estimator.refresh() is True
+        with metrics_installed() as registry:
+            swapped = estimator.estimate_batch(_queries())
+        assert registry.snapshot().get("skeleton.compiles", 0) == 0
+        fresh = SafeBound()
+        fresh.stats = catalog.load("tiny", 2, fresh=True)
+        assert swapped == fresh.estimate_batch(_queries())
 
     def test_refresh_rejects_truncated_archive(self, tiny_db, built, tmp_path):
         """Regression: a truncated published arena used to be hot-swapped
