@@ -91,6 +91,7 @@ def planning_snapshot():
             "bench": "fig5b_planning_time",
             "unit": "ms",
             "config": config,
+            "nproc": len(os.sched_getaffinity(0)),
             "rows": out_rows,
         }
         PLANNING_SNAPSHOT_PATH.write_text(

@@ -6,11 +6,19 @@ Postgres' optimizer is given estimates for *every* subquery through
 connected subset it considers.  Queries with many relations fall back to a
 greedy (GOO-style) heuristic, as real systems do beyond their DP budget.
 
-Estimates flow through the estimator's **batch** entry point: the DP
-gathers every connected subset of one size (plus the index-nested-loop
-prefilter subqueries that size unlocks) and requests them in a single
-``estimate_batch`` call, letting batch-aware estimators such as SafeBound
-share compiled skeletons and conditioning work across the level.
+Estimates flow through the estimator's **batch** entry point, one
+``estimate_batch`` call per plan.  The set of subqueries the DP needs is
+a function of the query's join graph alone, so the planner gathers the
+whole lattice before the first estimate: the scans, every connected
+subset at every size, and every index-nested-loop prefilter.  A
+prefilter ``(mask - v, v)`` is requested when ``mask - v`` is a single
+relation or connected (so it has a plan to probe from) and the join
+column of ``v`` is indexed.  A prefilter whose inner alias has no
+predicate is the induced subquery of ``mask`` itself and is requested
+once.  Batch-aware estimators such as SafeBound share compiled skeletons
+and conditioning work across the whole plan, and over the wire the plan
+is one ``bound_batch`` round trip.  The greedy fallback makes one call
+per round.
 
 The planner also decides physical operators — hash join, index
 nested-loop (when the inner is a base table with an index on the join
@@ -97,6 +105,34 @@ class Planner:
             out.append(max(float(est), 1.0))
         return out
 
+    def _estimate_requests(self, query: Query, requests: list) -> dict:
+        """Estimate every request in one round trip.
+
+        A request is an alias set (its induced subquery) or an
+        ``(outer set, inner alias)`` index-probe prefilter.  A prefilter
+        whose inner alias has no predicate is the induced subquery of
+        ``outer | {inner}``, so it shares that subquery's estimate.  Each
+        distinct subquery is sent once, in first-request order; the result
+        maps every request to its rows.
+        """
+        canonical = {}
+        subqueries: dict[object, Query] = {}
+        for key in requests:
+            if isinstance(key, frozenset):
+                canon = key
+            else:
+                outer_set, inner_alias = key
+                canon = key if inner_alias in query.predicates else outer_set | {inner_alias}
+            canonical[key] = canon
+            if canon not in subqueries:
+                subqueries[canon] = (
+                    query.induced_subquery(canon)
+                    if isinstance(canon, frozenset)
+                    else self._prefilter_subquery(query, *canon)
+                )
+        rows = dict(zip(subqueries, self._estimate_subqueries(list(subqueries.values()))))
+        return {key: rows[canon] for key, canon in canonical.items()}
+
     def _prefilter_subquery(
         self, query: Query, outer: frozenset[str], inner_alias: str
     ) -> Query:
@@ -120,20 +156,23 @@ class Planner:
                 return j.right.column
         return None
 
+    def _index_probes(
+        self, query: Query, pairs: list[tuple[frozenset[str], str]]
+    ) -> list[tuple[frozenset[str], str]]:
+        """The (outer set, inner alias) pairs an index nested-loop join can
+        probe: the inner's join column toward the outer is indexed."""
+        probes = []
+        for outer_set, inner_alias in pairs:
+            column = self._inner_join_column(query, outer_set, inner_alias)
+            if column is not None and self._has_index(query, inner_alias, column):
+                probes.append((outer_set, inner_alias))
+        return probes
+
     # ------------------------------------------------------------------
-    def _scan_nodes(
-        self, query: Query, aliases: list[str]
-    ) -> list[tuple[ScanNode, float]]:
-        """Scan plans for every alias, estimated in one batch."""
-        estimates = self._estimate_subqueries(
-            [query.induced_subquery({alias}) for alias in aliases]
-        )
-        out = []
-        for alias, est in zip(aliases, estimates):
-            table = query.relations[alias]
-            node = ScanNode(est_rows=est, alias=alias, table=table)
-            out.append((node, self.cost.scan(self.db.table(table).num_rows)))
-        return out
+    def _scan(self, query: Query, alias: str, est_rows: float) -> tuple[ScanNode, float]:
+        table = query.relations[alias]
+        node = ScanNode(est_rows=est_rows, alias=alias, table=table)
+        return node, self.cost.scan(self.db.table(table).num_rows)
 
     def _join_candidates(
         self,
@@ -147,7 +186,7 @@ class Planner:
     ):
         """All physical joins of two subplans, with estimated total cost.
 
-        ``prefilter_rows`` holds the pre-batched index-probe estimates
+        ``prefilter_rows`` holds the plan's estimates; index-probe rows are
         keyed by ``(outer_set, inner_alias)``.
         """
         left_node, left_cost = left
@@ -197,22 +236,6 @@ class Planner:
                 ),
             )
 
-    def _batch_prefilters(
-        self, query: Query, pairs: list[tuple[frozenset[str], str]]
-    ) -> dict[tuple[frozenset[str], str], float]:
-        """Batch-estimate the index-probe subqueries for every viable
-        (outer set, indexed inner alias) pair; non-indexed pairs are
-        filtered out here so the join-candidate loop stays estimator-free."""
-        keys = []
-        subqueries = []
-        for outer_set, inner_alias in pairs:
-            column = self._inner_join_column(query, outer_set, inner_alias)
-            if column is None or not self._has_index(query, inner_alias, column):
-                continue
-            keys.append((outer_set, inner_alias))
-            subqueries.append(self._prefilter_subquery(query, outer_set, inner_alias))
-        return dict(zip(keys, self._estimate_subqueries(subqueries)))
-
     # ------------------------------------------------------------------
     # Dynamic programming over connected subsets
     # ------------------------------------------------------------------
@@ -247,9 +270,10 @@ class Planner:
         def to_set(mask: int) -> frozenset[str]:
             return frozenset(aliases[i] for i in range(n) if mask >> i & 1)
 
-        best: dict[int, tuple[PlanNode, float]] = {}
-        for i, scan in enumerate(self._scan_nodes(query, aliases)):
-            best[1 << i] = scan
+        full = (1 << n) - 1
+        if not connected(full):
+            # Disconnected query: greedily cross-join the components.
+            return self._plan_greedy(query, aliases)
 
         masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
         for mask in range(1, 1 << n):
@@ -257,36 +281,37 @@ class Planner:
             if size >= 2 and connected(mask):
                 masks_by_size[size].append(mask)
 
-        full = (1 << n) - 1
+        # The whole lattice in one request, in DP order: the scans, then per
+        # size its connected subsets and the INLJ prefilters they unlock.
+        # (mask - v, v) qualifies when mask - v has a plan, i.e. is a single
+        # relation or a smaller connected subset: every connected subset has
+        # a relation whose removal keeps it connected, so each gets one.
+        subsets = {1 << i: frozenset([alias]) for i, alias in enumerate(aliases)}
+        requests: list = list(subsets.values())
+        for level in masks_by_size:
+            pairs = []
+            for mask in level:
+                subsets[mask] = to_set(mask)
+                m = mask
+                while m:
+                    bit = m & -m
+                    m ^= bit
+                    if (mask ^ bit) in subsets:
+                        inner_alias = aliases[bit.bit_length() - 1]
+                        pairs.append((subsets[mask] - {inner_alias}, inner_alias))
+            requests += [subsets[mask] for mask in level]
+            requests += self._index_probes(query, pairs)
+        rows = self._estimate_requests(query, requests)
+
+        best: dict[int, tuple[PlanNode, float]] = {
+            1 << i: self._scan(query, alias, rows[subsets[1 << i]])
+            for i, alias in enumerate(aliases)
+        }
         for size in range(2, n + 1):
             level = masks_by_size[size]
             if not level:
                 continue
             with _span("optimizer.dp_level", size=size, subsets=len(level)):
-                subsets = {mask: to_set(mask) for mask in level}
-                # One estimator round trip for every connected subset of this
-                # size, and one more for the INLJ prefilters those unlock.
-                out_rows = dict(
-                    zip(
-                        level,
-                        self._estimate_subqueries(
-                            [query.induced_subquery(subsets[mask]) for mask in level]
-                        ),
-                    )
-                )
-                prefilter_pairs = []
-                for mask in level:
-                    m = mask
-                    while m:
-                        bit = m & -m
-                        m ^= bit
-                        if (mask ^ bit) in best:
-                            inner_alias = aliases[bit.bit_length() - 1]
-                            prefilter_pairs.append(
-                                (subsets[mask] - {inner_alias}, inner_alias)
-                            )
-                prefilter_rows = self._batch_prefilters(query, prefilter_pairs)
-
                 for mask in level:
                     champion: tuple[PlanNode, float] | None = None
                     # Enumerate proper sub-masks; each (sub, mask^sub) split
@@ -299,7 +324,7 @@ class Planner:
                             sub = (sub - 1) & mask
                             continue
                         if sub in best and other in best:
-                            left_set, right_set = to_set(sub), to_set(other)
+                            left_set, right_set = subsets[sub], subsets[other]
                             if self._sets_joined(query, left_set, right_set):
                                 for node, cost in self._join_candidates(
                                     query,
@@ -307,17 +332,14 @@ class Planner:
                                     best[other],
                                     left_set,
                                     right_set,
-                                    out_rows[mask],
-                                    prefilter_rows,
+                                    rows[subsets[mask]],
+                                    rows,
                                 ):
                                     if champion is None or cost < champion[1]:
                                         champion = (node, cost)
                         sub = (sub - 1) & mask
                     if champion is not None:
                         best[mask] = champion
-        if full not in best:
-            # Disconnected query: greedily cross-join the components.
-            return self._plan_greedy(query, aliases)
         return best[full]
 
     @staticmethod
@@ -333,10 +355,12 @@ class Planner:
     # Greedy fallback for many-relation queries
     # ------------------------------------------------------------------
     def _plan_greedy(self, query: Query, aliases: list[str]) -> tuple[PlanNode, float]:
-        remaining: dict[frozenset[str], tuple[PlanNode, float]] = {}
-        for alias, scan in zip(aliases, self._scan_nodes(query, aliases)):
-            remaining[frozenset([alias])] = scan
-        while len(remaining) > 1:
+        # ``None`` marks a relation not yet scanned: the first round's
+        # request also carries the scans.
+        remaining: dict[frozenset[str], tuple[PlanNode, float] | None] = {
+            frozenset([alias]): None for alias in aliases
+        }
+        while True:
             keys = sorted(remaining, key=sorted)
             pairs = [
                 (left_set, right_set)
@@ -344,23 +368,24 @@ class Planner:
                 for right_set in keys[i + 1 :]
                 if self._sets_joined(query, left_set, right_set)
             ]
-            # Batch this round's union estimates and INLJ prefilters.
+            # One round trip per round: its union estimates and INLJ
+            # prefilters.
+            scans = [key for key in keys if remaining[key] is None]
             unions = sorted({l | r for l, r in pairs}, key=sorted)
-            union_rows = dict(
-                zip(
-                    unions,
-                    self._estimate_subqueries(
-                        [query.induced_subquery(u) for u in unions]
-                    ),
-                )
+            probes = self._index_probes(
+                query,
+                [
+                    (outer_set, next(iter(inner_set)))
+                    for left_set, right_set in pairs
+                    for outer_set, inner_set in ((left_set, right_set), (right_set, left_set))
+                    if len(inner_set) == 1
+                ],
             )
-            prefilter_pairs = [
-                (outer_set, next(iter(inner_set)))
-                for left_set, right_set in pairs
-                for outer_set, inner_set in ((left_set, right_set), (right_set, left_set))
-                if len(inner_set) == 1
-            ]
-            prefilter_rows = self._batch_prefilters(query, prefilter_pairs)
+            rows = self._estimate_requests(query, scans + unions + probes)
+            for key in scans:
+                remaining[key] = self._scan(query, next(iter(key)), rows[key])
+            if len(remaining) == 1:
+                return next(iter(remaining.values()))
 
             champion = None
             champion_key = None
@@ -371,8 +396,8 @@ class Planner:
                     remaining[right_set],
                     left_set,
                     right_set,
-                    union_rows[left_set | right_set],
-                    prefilter_rows,
+                    rows[left_set | right_set],
+                    rows,
                 ):
                     if champion is None or cost < champion[1]:
                         champion = (node, cost)
@@ -394,4 +419,3 @@ class Planner:
             del remaining[left_set]
             del remaining[right_set]
             remaining[left_set | right_set] = champion
-        return next(iter(remaining.values()))

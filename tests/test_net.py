@@ -381,6 +381,39 @@ class TestNetServer:
         assert len(hits) == 30
         assert all(keys <= batch for batch in hits)
 
+    def test_frame_longer_than_max_batch(self, built):
+        """A frame of 2 * max_batch + 1 queries (the planner sends its
+        whole subquery lattice as one frame, over 64 queries on
+        6-relation shapes) comes back index-aligned and bit-equal to an
+        in-process estimate_batch, served in ceil(N / max_batch) calls."""
+
+        class _Counting:
+            def __init__(self) -> None:
+                self.sizes: list[int] = []
+
+            def estimate_batch(self, queries):
+                self.sizes.append(len(queries))
+                return built.estimate_batch(queries)
+
+        max_batch = 16
+        base = _queries()
+        frame = [
+            base[i % len(base)]
+            .induced_subquery(base[i % len(base)].relations)
+            .add_predicate("f", Range("score", low=i % 7, high=i % 7 + 3 + i))
+            for i in range(2 * max_batch + 1)
+        ]
+        stub = _Counting()
+        with EstimationServer(stub, max_batch=max_batch) as server:
+            with NetServer(server) as net:
+                with NetClient(*net.address) as client:
+                    served = client.bound_batch(frame)
+        expected = built.estimate_batch(frame)
+        assert len(set(expected)) > len(base)  # the frame's queries differ
+        assert [x.hex() for x in served] == [x.hex() for x in expected]
+        assert stub.sizes == [max_batch, max_batch, 1]
+        assert len(stub.sizes) == math.ceil(len(frame) / max_batch)
+
     def test_idle_stop_returns_promptly(self, built):
         """Regression: stop() only closed the listener, which does not
         wake a blocked accept() on Linux, so every stop waited out the
