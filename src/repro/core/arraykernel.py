@@ -16,9 +16,10 @@ module lowers the same computation into a *batched* form:
 * :func:`compile_array_program` flattens a
   :class:`~.bound.CompiledSkeleton`'s alpha/beta recursion — across *all*
   of its spanning-tree plans, with common-subexpression elimination — into
-  a linear op list, and :func:`evaluate_bounds` executes the programs of a
-  whole heterogeneous batch, scheduling ops of the same kind from every
-  query/skeleton into shared kernel calls.
+  a linear op list, and :func:`evaluate_bounds` lowers a whole
+  heterogeneous batch (a plan's subquery lattice, say) into one
+  value-numbered program: each distinct message is computed once, and
+  each stage is one kernel call over a single register file.
 
 **Segmented search.**  Every search and merge runs on sort keys that
 order elements by (segment id, value): ``complex128`` with the segment id
@@ -781,39 +782,51 @@ def batch_truncate_total(f: Ragged, totals: np.ndarray) -> Ragged:
     return _scatter_segments(parts, f.batch)
 
 
+
+
 # ----------------------------------------------------------------------
 # The array program: compiled skeleton -> flat op list
 # ----------------------------------------------------------------------
+# Execution stages, in order: the preamble's inverse, delta and compose,
+# then per body level ``L`` its const (level 0 only), compose_with and
+# multiply at ``_BODY + 3 * L + k``.  An op's operands always come from
+# an earlier stage, so the stages run in ascending order.
+_KINDS = ("inv", "delta", "comp")
+_COMP, _BODY = 2, 3
+_BODY_KINDS = ("const", "cw", "mul")
+
+
 @dataclass(frozen=True)
 class ArrayProgram:
     """A CompiledSkeleton's bound recursion as straight-line batched ops.
 
     The alpha/beta recursion of *every* spanning-tree plan is flattened
     into one op list with common-subexpression elimination: spanning trees
-    share most subtrees, so identical messages compile to one op.  Operand
-    references encode the preamble register ``i`` as ``-(i + 1)`` and body
-    register ``i`` as ``i`` (body op ``i``'s output is register ``i``).
+    share most subtrees, so identical messages compile to one op.  Local
+    register ``e < len(skeleton.edges)`` holds edge ``e``'s CDS and op
+    ``i`` writes register ``len(skeleton.edges) + i``.  Each op is
+    ``(stage, a, b)``, its operands in an earlier stage:
 
-    * ``pre_ops`` — plan-independent per-edge work (``('inv', edge)``,
-      ``('delta', edge)``, ``('comp', inv_reg, parent_edge)``), the batched
-      twins of the object path's memoised ``inverse()``/``delta()`` and its
-      per-plan recomputed ``inverse().compose(parent)``;
-    * ``body_ops`` — ``('const', root, kid_edges)``, ``('cw', msg, inner)``
-      and ``('mul', a, b)`` steps of the message recursion;
-    * ``integrals`` — body registers whose per-segment integral becomes a
-      scalar slot;
-    * ``plan_slots`` — per plan, the root results in evaluation order,
-      each ``('card', alias_index)`` or ``('slot', integral_index)``;
-    * ``schedule`` — body ops grouped by dependency level then kind, so
-      the executor can run every independent same-kind op (across plans,
-      and across skeletons at execution time) in one kernel call.
+    * ``inv`` / ``delta`` of edge ``a`` (``b`` None) — the batched twins
+      of the object path's memoised ``inverse()`` / ``delta()``;
+    * ``comp`` — register ``a`` (an inverse) composed with edge ``b``,
+      the object path's per-plan ``inverse().compose(parent)``;
+    * ``const`` — the unit step up to the minimum of alias ``a``'s
+      cardinality and the totals of edges ``b``;
+    * ``cw`` / ``mul`` — ``compose_with`` / ``multiply`` of registers
+      ``a`` and ``b``.
+
+    ``integrals`` lists the registers whose integral is a root count and
+    ``plan_slots`` holds per plan the root factors in evaluation order:
+    ``(True, alias)`` for a join-less root's cardinality, ``(False,
+    register)`` for an integral.  ``num_stages`` is one past the last
+    stage an op uses.
     """
 
-    pre_ops: tuple
-    body_ops: tuple
+    ops: tuple
     integrals: tuple
     plan_slots: tuple
-    schedule: tuple
+    num_stages: int
 
 
 def compile_array_program(skeleton) -> ArrayProgram:
@@ -823,46 +836,25 @@ def compile_array_program(skeleton) -> ArrayProgram:
     if cached is not None:
         return cached
 
-    pre_index: dict[tuple, int] = {}
-    pre_ops: list[tuple] = []
-    body_index: dict[tuple, int] = {}
-    body_ops: list[tuple] = []
-    integral_index: dict[int, int] = {}
-    integrals: list[int] = []
+    index: dict[tuple, int] = {}
+    ops: list[tuple] = []
+    levels = [-1] * len(skeleton.edges)  # per register; preamble at -1 too
 
-    def pre_op(key: tuple) -> int:
-        reg = pre_index.get(key)
+    def emit(kind: str, a, b=None) -> int:
+        key = (kind, a, b)
+        reg = index.get(key)
         if reg is None:
-            reg = len(pre_ops)
-            pre_index[key] = reg
-            pre_ops.append(key)
+            if kind in _KINDS:
+                level, stage = -1, _KINDS.index(kind)
+            else:
+                level = 0 if kind == "const" else max(levels[a], levels[b]) + 1
+                stage = _BODY + 3 * level + _BODY_KINDS.index(kind)
+            reg = index[key] = len(levels)
+            levels.append(level)
+            ops.append((stage, a, b))
         return reg
 
-    def inv(edge: int) -> int:
-        return pre_op(("inv", edge))
-
-    def delta(edge: int) -> int:
-        return pre_op(("delta", edge))
-
-    def comp(edge: int, parent_edge: int) -> int:
-        return pre_op(("comp", inv(edge), parent_edge))
-
-    def body_op(key: tuple) -> int:
-        reg = body_index.get(key)
-        if reg is None:
-            reg = len(body_ops)
-            body_index[key] = reg
-            body_ops.append(key)
-        return reg
-
-    def integral_slot(reg: int) -> int:
-        slot = integral_index.get(reg)
-        if slot is None:
-            slot = len(integrals)
-            integral_index[reg] = slot
-            integrals.append(reg)
-        return slot
-
+    integrals: dict[int, None] = {}
     plan_slots: list[tuple] = []
     for plan in skeleton.plans:
         children = plan.children
@@ -871,58 +863,40 @@ def compile_array_program(skeleton) -> ArrayProgram:
             combined: int | None = None
             for rel, ei in children[var]:
                 msg = emit_rel(rel, ei)
-                combined = msg if combined is None else body_op(("mul", combined, msg))
+                combined = msg if combined is None else emit("mul", combined, msg)
             return combined
 
         def emit_rel(rel: int, parent_edge: int) -> int:
-            result = -(delta(parent_edge) + 1)
+            result = emit("delta", parent_edge)
             for var, ei in children[rel]:
                 msg = emit_var(var)
                 if msg is None:
                     continue
-                inner = -(comp(ei, parent_edge) + 1)
-                result = body_op(("mul", result, body_op(("cw", msg, inner))))
+                inner = emit("comp", emit("inv", ei), parent_edge)
+                result = emit("mul", result, emit("cw", msg, inner))
             return result
 
-        slots: list[tuple[str, int]] = []
+        slots: list[tuple[bool, int]] = []
         for root in plan.roots:
             kids = children[root]
             if not kids:
-                slots.append(("card", root))
+                slots.append((True, root))
                 continue
-            weight = body_op(("const", root, tuple(ei for _, ei in kids)))
+            weight = emit("const", root, tuple(ei for _, ei in kids))
             for var, ei in kids:
                 msg = emit_var(var)
                 if msg is None:
                     continue
-                composed = body_op(("cw", msg, -(inv(ei) + 1)))
-                weight = body_op(("mul", weight, composed))
-            slots.append(("slot", integral_slot(weight)))
+                weight = emit("mul", weight, emit("cw", msg, emit("inv", ei)))
+            integrals[weight] = None
+            slots.append((False, weight))
         plan_slots.append(tuple(slots))
 
-    # Dependency level of every body op (preamble refs are level -1): ops
-    # at one level are mutually independent, so same-kind ops at a level
-    # share a single kernel call.
-    levels: list[int] = []
-    for op in body_ops:
-        if op[0] == "const":
-            levels.append(0)
-        else:
-            operands = (op[1], op[2])
-            levels.append(
-                max((levels[ref] for ref in operands if ref >= 0), default=-1) + 1
-            )
-    num_levels = max(levels) + 1 if levels else 0
-    schedule: list[dict[str, tuple[int, ...]]] = [dict() for _ in range(num_levels)]
-    for idx, (op, level) in enumerate(zip(body_ops, levels)):
-        schedule[level].setdefault(op[0], [])
-        schedule[level][op[0]].append(idx)  # type: ignore[attr-defined]
-    schedule_t = tuple(
-        {kind: tuple(idxs) for kind, idxs in lvl.items()} for lvl in schedule
-    )
-
     program = ArrayProgram(
-        tuple(pre_ops), tuple(body_ops), tuple(integrals), tuple(plan_slots), schedule_t
+        tuple(ops),
+        tuple(integrals),
+        tuple(plan_slots),
+        max((stage for stage, _, _ in ops), default=-1) + 1,
     )
     object.__setattr__(skeleton, "_array_program", program)
     return program
@@ -931,81 +905,23 @@ def compile_array_program(skeleton) -> ArrayProgram:
 # ----------------------------------------------------------------------
 # Program execution over a heterogeneous batch
 # ----------------------------------------------------------------------
-class _GroupState:
-    """Execution state of one skeleton's program over its deduped rows."""
+_KERNELS = {
+    "inv": batch_inverse,
+    "delta": batch_delta,
+    "comp": batch_compose,
+    "cw": batch_compose_with,
+    "mul": batch_multiply,
+}
 
-    __slots__ = (
-        "program",
-        "row_items",
-        "item_rows",
-        "edge_packs",
-        "totals",
-        "cards",
-        "pre_vals",
-        "body_vals",
-        "slot_vals",
+
+def _append_segments(r: Ragged, tail: Ragged) -> Ragged:
+    lengths = np.concatenate((r.lengths(), tail.lengths()))
+    return Ragged(
+        np.concatenate((r.xs, tail.xs)),
+        np.concatenate((r.ys, tail.ys)),
+        _offsets_from_lengths(lengths),
+        lengths=lengths,
     )
-
-    def __init__(self, skeleton, item_indices, items) -> None:
-        self.program = compile_array_program(skeleton)
-        # Rows are deduplicated (edge CDS identity, cardinalities) query
-        # instantiations: repeated queries — the common case for a serving
-        # micro-batch — evaluate once and fan back out.
-        row_of: dict[tuple, int] = {}
-        self.row_items: list[int] = []
-        self.item_rows: list[tuple[int, int]] = []
-        row_edge_funcs = []
-        row_cards = []
-        for idx in item_indices:
-            _, edge_funcs, cards = items[idx]
-            key = (tuple(id(f) for f in edge_funcs), tuple(cards))
-            row = row_of.get(key)
-            if row is None:
-                row = len(row_edge_funcs)
-                row_of[key] = row
-                row_edge_funcs.append(edge_funcs)
-                row_cards.append(cards)
-            self.item_rows.append((idx, row))
-        num_edges = len(row_edge_funcs[0]) if row_edge_funcs else 0
-        self.edge_packs = [
-            Ragged.from_functions([funcs[e] for funcs in row_edge_funcs])
-            for e in range(num_edges)
-        ]
-        # Conditioned totals (cds.total == ys[-1]) drive root cardinalities.
-        self.totals = [_lasts(p.ys, p.offsets) for p in self.edge_packs]
-        self.cards = np.array(row_cards, dtype=float)
-        self.pre_vals: list[Ragged | None] = [None] * len(self.program.pre_ops)
-        self.body_vals: list[Ragged | None] = [None] * len(self.program.body_ops)
-        self.slot_vals: list[np.ndarray | None] = [None] * len(self.program.integrals)
-
-    @property
-    def rows(self) -> int:
-        return len(self.cards)
-
-    def resolve(self, ref: int) -> Ragged:
-        return self.pre_vals[-ref - 1] if ref < 0 else self.body_vals[ref]
-
-
-def _concat_ragged(parts: list[Ragged]) -> Ragged:
-    if len(parts) == 1:
-        return parts[0]
-    lengths = np.concatenate([p.lengths() for p in parts])
-    xs = np.concatenate([p.xs for p in parts])
-    ys = np.concatenate([p.ys for p in parts])
-    return Ragged(xs, ys, _offsets_from_lengths(lengths), lengths=lengths)
-
-
-def _split_ragged(r: Ragged, counts: list[int]) -> list[Ragged]:
-    if len(counts) == 1:
-        return [r]
-    out = []
-    seg = 0
-    for c in counts:
-        off = r.offsets[seg : seg + c + 1]
-        base = off[0]
-        out.append(Ragged(r.xs[base : off[-1]], r.ys[base : off[-1]], off - base))
-        seg += c
-    return out
 
 
 def evaluate_bounds(items: list[tuple]) -> np.ndarray:
@@ -1014,99 +930,116 @@ def evaluate_bounds(items: list[tuple]) -> np.ndarray:
     ``items`` holds ``(skeleton, edge_cds, cards)`` per query: the compiled
     skeleton, the chosen conditioned CDS per skeleton edge, and the
     single-table cardinality per alias (in ``skeleton.aliases`` order).
-    Ops of the same kind across every query, plan and skeleton execute as
-    shared segmented kernel calls.
+
+    The whole batch is lowered into one value-numbered program.  Identical
+    queries (same skeleton, CDS objects and cardinalities) share a row.
+    Every row's ops are then numbered across rows and skeletons by what
+    they compute — ``inv``/``delta`` of a distinct CDS, ``comp`` of an
+    inverse node and a CDS, ``const`` of an end, ``cw``/``mul`` of two
+    nodes — so a message that a plan's subqueries share runs once.  Each
+    distinct CDS is packed once into a register file; each stage runs its
+    distinct nodes in one kernel call on operands gathered from that file
+    and appends the results; the distinct root weights are integrated in
+    one pass; and each row finishes in scalar code.  Kernels treat every
+    segment on its own, so sharing a node changes no bit of any bound.
     """
-    results = np.zeros(len(items))
     if not items:
-        return results
-    by_skeleton: dict[int, list[int]] = {}
-    skeletons: dict[int, object] = {}
-    for i, (skeleton, _, _) in enumerate(items):
-        by_skeleton.setdefault(id(skeleton), []).append(i)
-        skeletons[id(skeleton)] = skeleton
-    groups = [
-        _GroupState(skeletons[key], idxs, items) for key, idxs in by_skeleton.items()
-    ]
+        return np.zeros(0)
+    leaf_of: dict[int, int] = {}
+    leaves: list = []
+    row_of: dict[tuple, int] = {}
+    rows: list[tuple] = []
+    item_rows: list[int] = []
+    row_ops = 0  # ops the rows' own programs hold, before value numbering
+    for skeleton, edge_cds, cards in items:
+        regs = []
+        for f in edge_cds:
+            leaf = leaf_of.get(id(f))
+            if leaf is None:
+                leaf = leaf_of[id(f)] = len(leaves)
+                leaves.append(f)
+            regs.append(leaf)
+        key = (id(skeleton), tuple(regs), tuple(cards))
+        row = row_of.get(key)
+        if row is None:
+            row = row_of[key] = len(rows)
+            program = compile_array_program(skeleton)
+            row_ops += len(program.ops) + len(program.integrals)
+            rows.append((program, regs, cards))
+        item_rows.append(row)
+    _metric_inc("kernel.row_ops", row_ops)
+    regfile = Ragged.from_functions(leaves)
+    # Conditioned totals (cds.total == ys[-1]) cap root cardinalities.
+    totals = _lasts(regfile.ys, regfile.offsets).tolist()
 
-    # Preamble: plan-independent per-edge values, two dependency levels.
-    for kinds in (("inv", "delta"), ("comp",)):
-        jobs: dict[str, list[tuple]] = {k: [] for k in kinds}
-        for g in groups:
-            for reg, op in enumerate(g.program.pre_ops):
-                if op[0] in jobs:
-                    jobs[op[0]].append((g, reg, op))
-        for kind, entries in jobs.items():
-            if not entries:
-                continue
-            _metric_inc(_OP_METRIC[kind], len(entries))
-            with _span(_OP_SPAN[kind]):
-                if kind == "comp":
-                    outer = _concat_ragged([g.pre_vals[op[1]] for g, _, op in entries])
-                    inner = _concat_ragged([g.edge_packs[op[2]] for g, _, op in entries])
-                    chunks = _split_ragged(
-                        batch_compose(outer, inner), [g.rows for g, _, _ in entries]
-                    )
-                else:
-                    big = _concat_ragged([g.edge_packs[op[1]] for g, _, op in entries])
-                    kernel = batch_inverse if kind == "inv" else batch_delta
-                    chunks = _split_ragged(kernel(big), [g.rows for g, _, _ in entries])
-            for (g, reg, _), chunk in zip(entries, chunks):
-                g.pre_vals[reg] = chunk
+    # Value numbering: one node table per stage, keyed by operand nodes;
+    # ``regs`` grows from a row's edge leaves into its program registers.
+    tables: list[dict] = []
+    num_nodes = len(leaves)
+    for program, regs, cards in rows:
+        while len(tables) < program.num_stages:
+            tables.append({})
+        for stage, a, b in program.ops:
+            if stage == _BODY:  # const
+                key = cards[a]
+                for e in b:
+                    t = totals[regs[e]]
+                    if t < key:
+                        key = t
+            elif stage < _COMP:
+                key = regs[a]
+            else:
+                key = (regs[a], regs[b])
+            node = tables[stage].setdefault(key, num_nodes)
+            if node == num_nodes:
+                num_nodes += 1
+            regs.append(node)
 
-    # Body: dependency-level schedule — every independent same-kind op
-    # across all plans and skeletons shares one kernel call per level.
-    max_levels = max((len(g.program.schedule) for g in groups), default=0)
-    for level in range(max_levels):
-        for kind in ("const", "cw", "mul"):
-            jobs: list[tuple[_GroupState, int]] = []
-            for g in groups:
-                if level < len(g.program.schedule):
-                    for idx in g.program.schedule[level].get(kind, ()):
-                        jobs.append((g, idx))
-            if not jobs:
-                continue
-            _metric_inc(_OP_METRIC[kind], len(jobs))
-            with _span(_OP_SPAN[kind]):
-                if kind == "const":
-                    ends = []
-                    for g, idx in jobs:
-                        _, root, kid_edges = g.program.body_ops[idx]
-                        e = g.cards[:, root].copy()
-                        for ei in kid_edges:
-                            e = np.minimum(e, g.totals[ei])
-                        ends.append(e)
-                    result = batch_constant(np.concatenate(ends))
-                else:
-                    a = _concat_ragged([g.resolve(g.program.body_ops[idx][1]) for g, idx in jobs])
-                    b = _concat_ragged([g.resolve(g.program.body_ops[idx][2]) for g, idx in jobs])
-                    kernel = batch_compose_with if kind == "cw" else batch_multiply
-                    result = kernel(a, b)
-            for (g, idx), chunk in zip(jobs, _split_ragged(result, [g.rows for g, _ in jobs])):
-                g.body_vals[idx] = chunk
+    reg_of = np.empty(num_nodes, dtype=np.int64)
+    reg_of[: len(leaves)] = np.arange(len(leaves))
+    for stage, table in enumerate(tables):
+        if not table:
+            continue
+        kind = _KINDS[stage] if stage < _BODY else _BODY_KINDS[(stage - _BODY) % 3]
+        _metric_inc(_OP_METRIC[kind], len(table))
+        with _span(_OP_SPAN[kind]):
+            if kind == "const":
+                out = batch_constant(np.array(list(table), dtype=float))
+            elif stage < _COMP:
+                sel = reg_of[np.fromiter(table, np.int64, len(table))]
+                out = _KERNELS[kind](_gather_segments(regfile, sel))
+            else:
+                sel = reg_of[np.array(list(table), dtype=np.int64)]
+                out = _KERNELS[kind](
+                    _gather_segments(regfile, sel[:, 0]),
+                    _gather_segments(regfile, sel[:, 1]),
+                )
+        nodes = np.fromiter(table.values(), np.int64, len(table))
+        reg_of[nodes] = regfile.batch + np.arange(len(table))
+        regfile = _append_segments(regfile, out)
 
-    # Integrals: every (group, slot) in one reduceat pass.
-    jobs = [(g, slot, reg) for g in groups for slot, reg in enumerate(g.program.integrals)]
-    if jobs:
-        _metric_inc(_OP_METRIC["integral"], len(jobs))
+    weights: dict[int, int] = {}
+    for program, regs, _ in rows:
+        for reg in program.integrals:
+            weights.setdefault(regs[reg], len(weights))
+    sums: list[float] = []
+    if weights:
+        _metric_inc(_OP_METRIC["integral"], len(weights))
         with _span(_OP_SPAN["integral"]):
-            big = _concat_ragged([g.resolve(reg) for g, _, reg in jobs])
-            sums = batch_integral(big)
-        pos = 0
-        for g, slot, _ in jobs:
-            g.slot_vals[slot] = sums[pos : pos + g.rows]
-            pos += g.rows
+            sel = reg_of[np.fromiter(weights, np.int64, len(weights))]
+            sums = batch_integral(_gather_segments(regfile, sel)).tolist()
 
     # Scalar finish: product over roots (with the object path's
     # break-on-zero semantics) and minimum over plans, per row.
-    for g in groups:
-        best = np.full(g.rows, np.inf)
-        for slots in g.program.plan_slots:
-            total = np.ones(g.rows)
-            for kind, ref in slots:
-                value = g.cards[:, ref] if kind == "card" else g.slot_vals[ref]
-                total = np.where(total == 0.0, 0.0, total * value)
-            best = np.where(total < best, total, best)
-        for idx, row in g.item_rows:
-            results[idx] = best[row]
-    return results
+    bounds = []
+    for program, regs, cards in rows:
+        best = np.inf
+        for slots in program.plan_slots:
+            total = 1.0
+            for is_card, ref in slots:
+                if total != 0.0:
+                    total *= cards[ref] if is_card else sums[weights[regs[ref]]]
+            if total < best:
+                best = total
+        bounds.append(best)
+    return np.array(bounds)[item_rows]

@@ -216,12 +216,15 @@ class FdsbEngine:
     """
 
     # Minimum batch "work" (sum over items of plans x edges) for the array
-    # kernel to pay off: below it, per-batch fixed costs (packing, program
-    # setup, kernel-call scheduling) outweigh the vectorization win — the
-    # optimizer DP's per-level batches of small acyclic subqueries are the
-    # common case.  Measured crossover on JOB-Light planner traffic (object
-    # wins <= ~32, tie ~48) and stats-CEB cyclic planner traffic (array
-    # wins by 2x at >= 64).  Both kernels are bit-identical, so dispatch
+    # kernel to pay off: below it, the batch-wide program's fixed costs
+    # (value numbering, packing each distinct CDS, one kernel call per
+    # stage) outweigh the vectorization win — a one- or two-query batch,
+    # such as a JOB-Light point request, is the common case.  A planner's
+    # lattice batch is mostly far above it.  Measured on JOB-Light planner
+    # lattices: the object kernel wins below work 16 and the array kernel
+    # from 16 up; a warm one-query JOB-Light bound takes about 0.4 ms on
+    # the object kernel against 0.9 ms on the array kernel.  A JOB-Light
+    # query's work is 2-5.  Both kernels are bit-identical, so dispatch
     # only affects latency, never the bounds.
     ARRAY_MIN_WORK = 64
     # Same idea for the conditioning stage upstream of the recursion:
@@ -343,12 +346,13 @@ class FdsbEngine:
         :meth:`bound_compiled`.  Both kernels return bit-identical bounds,
         so dispatch is by cost alone.  A batch whose work (sum of plans x
         edges) reaches ``array_min_work`` is lowered — every query,
-        spanning-tree plan and skeleton — into one array program and
-        evaluated in shared segmented kernel calls; identical query
-        instantiations (same conditioned CDSs and cardinalities, the
-        common case for a serving micro-batch) are deduplicated.  Smaller
-        batches (planner-DP-sized traffic) run the per-object recursion,
-        whose per-call overhead is lower.
+        spanning-tree plan and skeleton — into one value-numbered array
+        program, so a message shared by several queries or plans is
+        computed once, and each stage runs as one segmented kernel call;
+        identical query instantiations (same conditioned CDSs and
+        cardinalities, the common case for a serving micro-batch) share a
+        row.  Smaller batches (a query or two) run the per-object
+        recursion, whose per-call overhead is lower.
         """
         if (
             sum(

@@ -156,15 +156,6 @@ class PiecewiseConstant:
             return PiecewiseConstant.empty()
         return PiecewiseConstant(np.array([float(domain_end)]), np.array([float(value)]))
 
-    @staticmethod
-    def from_segments(segments: list[tuple[float, float]]) -> "PiecewiseConstant":
-        """Build from ``[(right_edge, value), ...]`` pairs."""
-        if not segments:
-            return PiecewiseConstant.empty()
-        xs = np.array([s[0] for s in segments], dtype=float)
-        ys = np.array([s[1] for s in segments], dtype=float)
-        return PiecewiseConstant(xs, ys)
-
     # ------------------------------------------------------------------
     # Basic queries
     # ------------------------------------------------------------------

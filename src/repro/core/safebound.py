@@ -145,6 +145,14 @@ class SafeBound:
     def build_seconds(self) -> float:
         return self.stats.build_seconds if self.stats else 0.0
 
+    def fresh(self) -> "SafeBound":
+        """A SafeBound over the same statistics with cold caches (no
+        compiled skeleton, no conditioned relation)."""
+        other = SafeBound(self.config)
+        other.stats = self.stats
+        other._db = self._db
+        return other
+
     def adopt_engine(self, other: "SafeBound") -> None:
         """Share ``other``'s bound engine and its compiled skeletons.
 
@@ -262,14 +270,27 @@ class SafeBound:
                 if skeleton is None:
                     skeleton = self._engine.compile(query)
                     skeletons[key] = skeleton
-                prepared.append((query, skeleton, self._effective_predicates(query)))
+                keys = self._conditioning_keys(query, self._effective_predicates(query))
+                prepared.append((query, skeleton, keys))
             self._prepare_conditioning(prepared)
             with _span("bound.inputs"):
                 items = []
-                for query, skeleton, effective in prepared:
-                    column_cds, alias_cardinality = self._query_inputs(query, effective)
+                for query, skeleton, keys in prepared:
+                    column_cds, alias_cardinality = self._query_inputs(query, keys)
                     items.append((skeleton, column_cds, alias_cardinality))
             return self._engine.bound_batch_compiled(items)
+
+    def _conditioning_keys(
+        self, query: Query, effective: dict[str, Predicate]
+    ) -> list[tuple[str, str, Predicate | None, tuple]]:
+        """``(alias, table, effective predicate, conditioning cache key)``
+        per alias of ``query``, each key computed once per batch."""
+        epoch = self._stats_epoch
+        keys = []
+        for alias, tname in query.relations.items():
+            predicate = effective.get(alias)
+            keys.append((alias, tname, predicate, (epoch, tname, repr(predicate))))
+        return keys
 
     def _prepare_conditioning(self, prepared) -> None:
         """Batched conditioning ahead of ``_query_inputs``: condition every
@@ -289,10 +310,8 @@ class SafeBound:
         floor = max(self._engine.array_min_condition, 1)
         with _span("conditioning.prepare") as sp:
             missing: dict[tuple, tuple[str, Predicate | None]] = {}
-            for query, _, effective in prepared:
-                for alias, tname in query.relations.items():
-                    predicate = effective.get(alias)
-                    cache_key = (self._stats_epoch, tname, repr(predicate))
+            for _, _, keys in prepared:
+                for _, tname, predicate, cache_key in keys:
                     if cache_key not in missing and cache_key not in self._conditioning_cache:
                         missing[cache_key] = (tname, predicate)
             if len(missing) >= floor:
@@ -311,9 +330,8 @@ class SafeBound:
             # through to the object path inside _conditioned_relation.
             requests: list[tuple[ConditionedRelation, str]] = []
             seen: set[tuple[int, str]] = set()
-            for query, _, effective in prepared:
-                for alias, tname in query.relations.items():
-                    cache_key = (self._stats_epoch, tname, repr(effective.get(alias)))
+            for query, _, keys in prepared:
+                for alias, _, _, cache_key in keys:
                     conditioned = self._conditioning_cache.peek(cache_key)
                     if conditioned is None:
                         continue
@@ -327,25 +345,27 @@ class SafeBound:
                 fill_truncations_batch(requests)
 
     def _query_inputs(
-        self, query: Query, effective: dict[str, Predicate] | None = None
+        self, query: Query, keys: list[tuple] | None = None
     ) -> tuple[dict[tuple[str, str], PiecewiseLinear], dict[str, float]]:
         """Conditioned CDSs and single-table bounds for one query, served
-        from the (epoch-keyed) conditioning cache."""
-        if effective is None:
-            effective = self._effective_predicates(query)
+        from the (epoch-keyed) conditioning cache; ``keys`` are the
+        query's :meth:`_conditioning_keys` when the caller has them."""
+        if keys is None:
+            keys = self._conditioning_keys(query, self._effective_predicates(query))
         column_cds: dict[tuple[str, str], PiecewiseLinear] = {}
         alias_cardinality: dict[str, float] = {}
-        for alias, tname in query.relations.items():
-            conditioned = self._conditioned_relation(tname, effective.get(alias))
+        for alias, tname, predicate, cache_key in keys:
+            conditioned = self._conditioned_relation(tname, predicate, cache_key)
             alias_cardinality[alias] = conditioned.single_table
             for col in query.join_columns_of(alias):
                 column_cds[(alias, col)] = conditioned.cds_for(col)
         return column_cds, alias_cardinality
 
     def _conditioned_relation(
-        self, tname: str, predicate: Predicate | None
+        self, tname: str, predicate: Predicate | None, cache_key: tuple | None = None
     ) -> ConditionedRelation:
-        cache_key = (self._stats_epoch, tname, repr(predicate))
+        if cache_key is None:
+            cache_key = (self._stats_epoch, tname, repr(predicate))
         _metric_inc("conditioning.lookups")
 
         def compute() -> ConditionedRelation:
@@ -398,13 +418,7 @@ class SafeBound:
                 dim_pred = query.predicates.get(dim_ref.alias)
                 if dim_pred is None:
                     continue
-                column_map = {
-                    dcol: vname
-                    for (fkcol, dtable, dpk, dcol), vname in rel.virtual_columns.items()
-                    if fkcol == fact_ref.column
-                    and dtable == dim_table
-                    and dpk == dim_ref.column
-                }
+                column_map = rel.virtual_column_map(fact_ref.column, dim_table, dim_ref.column)
                 if not column_map:
                     continue
                 rewritten = _rewrite_predicate(dim_pred, column_map)

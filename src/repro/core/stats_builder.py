@@ -98,6 +98,18 @@ class RelationStats:
     # those joins must be skipped until the next rebuild.
     pending_inserts: int = 0
     stale_dims: set[str] = field(default_factory=set)
+    # ``virtual_columns`` grouped by join, built on first use (not saved).
+    _virtual_index: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    def virtual_column_map(self, fk_column: str, dim_table: str, dim_pk: str) -> dict[str, str]:
+        """``{dimension filter column: virtual column}`` for the join
+        ``fk_column -> dim_table.dim_pk``, in ``virtual_columns`` order."""
+        if self._virtual_index is None:
+            index: dict[tuple[str, str, str], dict[str, str]] = {}
+            for (fkcol, dtable, dpk, dcol), vname in self.virtual_columns.items():
+                index.setdefault((fkcol, dtable, dpk), {})[dcol] = vname
+            self._virtual_index = index
+        return self._virtual_index.get((fk_column, dim_table, dim_pk), {})
 
     def memory_bytes(self) -> int:
         total = sum(js.memory_bytes() for js in self.join_stats.values())

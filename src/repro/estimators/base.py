@@ -9,7 +9,9 @@ Every compared system (Sec 5, "Compared Systems") implements:
   the optimizer DP and the harness runner go through this entry point so
   estimators can share work across a batch (SafeBound groups by query
   skeleton);
-* ``memory_bytes()`` — size of the pre-computed statistics (Fig 8a).
+* ``memory_bytes()`` — size of the pre-computed statistics (Fig 8a);
+* ``fresh()`` — the same built estimator with empty online caches, so a
+  benchmark can time a cold batch more than once.
 
 ``build_seconds`` is recorded by ``build`` implementations (Fig 8b).
 """
@@ -57,6 +59,12 @@ class CardinalityEstimator:
 
     def memory_bytes(self) -> int:
         return 0
+
+    def fresh(self) -> "CardinalityEstimator":
+        """The built estimator with empty online caches.  The default is
+        the estimator itself, for estimators that cache nothing between
+        calls."""
+        return self
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -17,6 +17,7 @@ keeps the profile the paper's comparison depends on:
 
 from __future__ import annotations
 
+import copy
 import time
 
 import networkx as nx
@@ -60,6 +61,13 @@ class NeuroCardEstimator(CardinalityEstimator):
         self._indexes: dict[tuple[str, str], _ColumnIndex] = {}
         self._schema_cyclic = False
         self._rng = np.random.default_rng(seed)
+
+    def fresh(self) -> "NeuroCardEstimator":
+        """The built model with a copy of its sampler's state, so timing
+        a fresh copy leaves this estimator's draws unchanged."""
+        other = copy.copy(self)
+        other._rng = copy.deepcopy(self._rng)
+        return other
 
     def build(self, db: Database) -> None:
         started = time.perf_counter()

@@ -34,6 +34,11 @@ class TrueCardinalityEstimator(CardinalityEstimator):
         self._cache = {}
         self.build_seconds = time.perf_counter() - started
 
+    def fresh(self) -> "TrueCardinalityEstimator":
+        other = TrueCardinalityEstimator()
+        other._executor = self._executor
+        return other
+
     def estimate(self, query: Query) -> float:
         if self._executor is None:
             raise RuntimeError("build(db) must run before estimate()")

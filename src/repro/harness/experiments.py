@@ -171,12 +171,6 @@ def run_end_to_end(
 # ----------------------------------------------------------------------
 # Figure reductions
 # ----------------------------------------------------------------------
-def _common_queries(per_method: dict[str, MethodResult]) -> set[str]:
-    """Queries supported by the method AND the truth baseline."""
-    truth = per_method["TrueCardinality"]
-    return {r.query_name for r in truth.records if r.runtime is not None}
-
-
 def fig5a_runtimes(suite) -> list[list]:
     """Workload runtime relative to true-cardinality plans (Fig 5a)."""
     rows = []

@@ -25,6 +25,8 @@ from ..workloads.generator import Workload
 
 __all__ = ["QueryRecord", "MethodResult", "run_workload", "run_suite"]
 
+BATCH_REPEATS = 5
+
 
 @dataclass
 class QueryRecord:
@@ -59,6 +61,10 @@ class MethodResult:
     # the queries), so folding it into the planning timer would misstate
     # both numbers.
     batch_estimate_seconds: float = 0.0
+    # The same batch timed BATCH_REPEATS times after planning, each on a
+    # ``fresh()`` estimator: its first (cold) call and a second (warm) one.
+    batch_estimate_cold: list[float] = field(default_factory=list)
+    batch_estimate_warm: list[float] = field(default_factory=list)
 
     def total_runtime(self) -> float:
         return sum(r.runtime for r in self.records if r.runtime is not None)
@@ -138,6 +144,14 @@ def run_workload(
                     except UnsupportedQueryError:
                         record.supported = False
                 result.records.append(record)
+            # After planning, so the repeats cannot change what the planner
+            # sees (NeuroCard draws from a shared RNG as it estimates).
+            for _ in range(BATCH_REPEATS):
+                other = estimator.fresh()
+                for samples in (result.batch_estimate_cold, result.batch_estimate_warm):
+                    started = time.perf_counter()
+                    other.estimate_batch(queries)
+                    samples.append(time.perf_counter() - started)
             results[name] = result
     return results
 

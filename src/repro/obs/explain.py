@@ -103,8 +103,7 @@ def _plan_bounds(estimator, query) -> list[dict] | None:
         return None
     try:
         skeleton = engine.compile(query)
-        effective = estimator._effective_predicates(query)
-        column_cds, alias_cardinality = estimator._query_inputs(query, effective)
+        column_cds, alias_cardinality = estimator._query_inputs(query)
         bounds = engine.plan_bounds(skeleton, column_cds, alias_cardinality)
     except Exception:
         return None

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..db.query import Query
-
 __all__ = ["PlanNode", "ScanNode", "JoinNode", "plan_aliases", "plan_depth"]
 
 
@@ -58,8 +56,3 @@ def plan_depth(node: PlanNode) -> int:
         return 1
     assert isinstance(node, JoinNode)
     return 1 + max(plan_depth(node.left), plan_depth(node.right))
-
-
-def plan_to_query(node: PlanNode, query: Query) -> Query:
-    """The subquery a plan node computes."""
-    return query.induced_subquery(plan_aliases(node))

@@ -6,7 +6,7 @@ the whole online bound path; its contract is *exact* float equality with
 the per-object piecewise recursion — not approximate agreement — so any
 reordering of floating-point operations is a bug this suite must catch.
 
-Three layers of coverage:
+Layers of coverage:
 
 * workload differential: ``estimate_batch`` pinned to each side of the
   engine's size-based dispatch (``kernel_oracle``) on stats-CEB,
@@ -15,6 +15,11 @@ Three layers of coverage:
   a batched kernel);
 * the server path: an ``EstimationServer`` micro-batching an array-kernel
   estimator returns exactly the object kernel's bounds;
+* the batch-wide lowering: every planner lattice of the JOB-Light and
+  STATS-CEB workloads bounded as one value-numbered program equals each
+  item bounded alone and the object kernel, by ``float.hex``; so do
+  hypothesis batches whose skeletons share CDS objects, and common
+  subexpressions are shared across skeletons;
 * op-level hypothesis differential: every batched kernel against its
   object twin on generated piecewise inputs (breakpoint arrays compared
   elementwise with ``==``);
@@ -42,11 +47,12 @@ from kernel_oracle import (
 
 from repro.core import arraykernel as ak
 from repro.core import piecewise as pw
-from repro.core.bound import FdsbEngine
+from repro.core.bound import FdsbEngine, compile_skeleton
 from repro.core.predicates import Eq
 from repro.core.safebound import SafeBound
 from repro.db.query import Query
 from repro.obs.metrics import metrics_installed
+from repro.optimizer.join_order import Planner
 from repro.service.server import EstimationServer
 from repro.workloads import (
     make_job_light,
@@ -241,11 +247,11 @@ values = st.floats(
 
 
 @st.composite
-def linear_cds(draw, max_points: int = 8):
+def linear_cds(draw, max_points: int = 8, dy=values):
     """A valid nondecreasing CDS-like PiecewiseLinear starting at (0, 0)."""
     n = draw(st.integers(min_value=1, max_value=max_points))
     dx = draw(st.lists(steps, min_size=n, max_size=n))
-    dy = draw(st.lists(values, min_size=n, max_size=n))
+    dy = draw(st.lists(dy, min_size=n, max_size=n))
     xs = np.concatenate(([0.0], np.cumsum(dx)))
     ys = np.concatenate(([0.0], np.cumsum(dy)))
     return pw.PiecewiseLinear(xs, ys)
@@ -399,6 +405,160 @@ class TestOpEdgeCases:
             # Disconnected shape: zero single-table card zeroes the product.
             sk2 = engine.compile(lone)
             assert engine.bound_batch_compiled([(sk2, {}, {"a": 0.0, "c": 123.0})]) == [0.0]
+
+
+# ----------------------------------------------------------------------
+# The batch-wide lowering: one value-numbered program per batch
+# ----------------------------------------------------------------------
+def _hex(bounds) -> list[str]:
+    return [float(b).hex() for b in bounds]
+
+
+def _assert_lowering_exact(engine: FdsbEngine, items) -> None:
+    """The batch bounded as one program, each item bounded alone (both on
+    the array kernel) and the object kernel agree bit for bit."""
+    assert engine.array_min_work == 0
+    whole = engine.bound_batch_compiled(items)
+    alone = [engine.bound_batch_compiled([item])[0] for item in items]
+    oracle = [engine.bound_compiled(*item) for item in items]
+    assert _hex(whole) == _hex(alone) == _hex(oracle)
+
+
+@pytest.fixture(scope="module")
+def planner_lattices(workload_pairs):
+    """Every ``bound_batch_compiled`` batch the planner sends while
+    planning each JOB-Light and STATS-CEB query: one per DP lattice."""
+    lattices = {}
+    for name in ("JOB-Light", "STATS-CEB"):
+        wl, arr, _ = workload_pairs[name]
+        engine = arr._engine
+        batches = []
+
+        def record(items, _inner=engine.bound_batch_compiled, _out=batches):
+            _out.append(list(items))
+            return _inner(items)
+
+        engine.bound_batch_compiled = record
+        try:
+            planner = Planner(wl.db, arr)
+            for query in wl.queries:
+                planner.plan(query)
+        finally:
+            del engine.bound_batch_compiled
+        lattices[name] = (engine, batches)
+    return lattices
+
+
+@pytest.mark.parametrize("name", ["JOB-Light", "STATS-CEB"])
+def test_planner_lattices_bound_exactly_as_one_program(planner_lattices, name):
+    engine, batches = planner_lattices[name]
+    assert len(batches) >= 10
+    assert max(len(b) for b in batches) > 10
+    for items in batches:
+        _assert_lowering_exact(engine, items)
+
+
+def test_value_numbering_shares_messages_across_skeletons(planner_lattices):
+    """On a lattice batch the distinct nodes the kernels run are fewer
+    than the ops of every row's own program: the subqueries of one plan
+    share messages that no per-skeleton program can share."""
+    engine, batches = planner_lattices["STATS-CEB"]
+    items = max(batches, key=len)
+    rows = {}
+    for skeleton, column_cds, cards in items:
+        edge_cds = engine._select_edge_cds(skeleton, column_cds)
+        cards_t = tuple(float(cards.get(a, np.inf)) for a in skeleton.aliases)
+        rows[(id(skeleton), tuple(map(id, edge_cds)), cards_t)] = skeleton
+    per_row = 0
+    for skeleton in rows.values():
+        program = ak.compile_array_program(skeleton)
+        per_row += len(program.ops) + len(program.integrals)
+    with metrics_installed() as registry:
+        engine.bound_batch_compiled(items)
+    snap = registry.snapshot()
+    distinct = sum(v for k, v in snap.items() if k.startswith("kernel.ops."))
+    assert snap["bound.array_queries"] == len(items)
+    assert snap["kernel.row_ops"] == per_row
+    assert 0 < distinct < per_row
+
+
+_SHAPE_JOINS = {
+    "chain": [("a", "x", "b"), ("b", "y", "c"), ("c", "z", "d")],
+    "star": [("a", "x", "b"), ("a", "y", "c"), ("a", "z", "d")],
+    # One variable joins three relations (an alpha-step product).
+    "shared": [("a", "x", "b"), ("b", "x", "c"), ("c", "y", "d")],
+    "cycle": [("a", "x", "b"), ("b", "y", "c"), ("c", "z", "d"), ("d", "w", "a")],
+    "triangle": [("a", "x", "b"), ("b", "y", "c"), ("c", "z", "a"), ("c", "w", "d")],
+    # Two components: the root product of a cross join.
+    "cross": [("a", "x", "b"), ("c", None, None)],
+}
+
+
+def _shape(name: str) -> Query:
+    q = Query()
+    for left, column, right in _SHAPE_JOINS[name]:
+        for alias in (left, right):
+            if alias is not None and alias not in q.relations:
+                q.add_relation(alias, alias.upper())
+        if right is not None:
+            q.add_join(left, column, right, column)
+    return q
+
+
+_SHAPES = tuple(_SHAPE_JOINS)
+_SKELETONS = {name: compile_skeleton(_shape(name)) for name in _SHAPES}
+
+# CDS pool entries beyond the generated ones: a zero total (the root's
+# end is <= 0, an empty weight) and a single breakpoint (an empty delta,
+# so an empty message).
+_ZERO_TOTAL = pw.PiecewiseLinear(np.array([0.0, 5.0]), np.array([0.0, 0.0]))
+_SINGLE = pw.PiecewiseLinear(np.array([0.0]), np.array([0.0]))
+increments = st.floats(min_value=0.5, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def shared_cds_batches(draw):
+    """Items over the fixed shapes whose edges draw from one small CDS
+    pool (the same objects across edges, items and skeletons).  A few
+    instantiations (shape plus CDS per edge) recur with fresh
+    cardinalities, and some items repeat outright.  Zero totals, empty
+    messages and zero or infinite cardinalities are drawn rarely enough
+    that most bounds stay nonzero."""
+    pool = draw(st.lists(linear_cds(max_points=5, dy=increments), min_size=1, max_size=3))
+    picks = st.sampled_from(list(range(len(pool))) * 4 + [len(pool), len(pool) + 1])
+    pool += [_ZERO_TOTAL, _SINGLE]
+    shapes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        skeleton = _SKELETONS[draw(st.sampled_from(_SHAPES))]
+        column_cds = {(e.alias, e.columns[0]): pool[draw(picks)] for e in skeleton.edges}
+        shapes.append((skeleton, column_cds))
+    items = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        skeleton, column_cds = shapes[draw(st.integers(0, len(shapes) - 1))]
+        cards = {}
+        for alias in skeleton.aliases:
+            special = draw(st.integers(0, 9))
+            cards[alias] = (
+                (0.0, np.inf, 7.0)[special]
+                if special < 3
+                else draw(st.floats(min_value=1.0, max_value=2e3))
+            )
+        items.append((skeleton, column_cds, cards))
+    dup = draw(st.lists(st.integers(0, len(items) - 1), max_size=3))
+    return items + [items[i] for i in dup]
+
+
+def test_shapes_cover_the_lowering_cases():
+    assert len(_SKELETONS["cycle"].plans) > 1 and len(_SKELETONS["triangle"].plans) > 1
+    assert len(_SKELETONS["cross"].plans[0].roots) == 2
+
+
+@given(shared_cds_batches())
+@settings(max_examples=150, deadline=None)
+def test_shared_cds_batches_bound_exactly_as_one_program(items):
+    engine = FdsbEngine()
+    engine.array_min_work = 0
+    _assert_lowering_exact(engine, items)
 
 
 # ----------------------------------------------------------------------
