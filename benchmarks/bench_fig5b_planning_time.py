@@ -2,8 +2,8 @@
 
 Paper shape: Postgres fastest; SafeBound well below the ML methods and
 below PessEst (whose base-table scans dominate as data grows — at this
-laptop scale the gap is smaller than the paper's 12-420x; see
-EXPERIMENTS.md).
+laptop scale the gap is smaller than the paper's 12-420x; README.md,
+"Benchmarks", states the scales).
 """
 
 from repro.harness import fig5b_planning_time, format_table

@@ -3,8 +3,8 @@
 The end-to-end suite (build + plan + execute for every estimator on all
 four workloads) is computed once per pytest session and shared by the
 Fig 5-8 benchmarks.  ``REPRO_BENCH_SCALE`` scales the datasets (default
-0.2; the paper's IMDB is several orders of magnitude larger — see
-EXPERIMENTS.md for the mapping).
+0.2; the paper's IMDB is several orders of magnitude larger — README.md,
+"Benchmarks", states the scales).
 """
 
 from __future__ import annotations

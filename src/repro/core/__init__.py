@@ -26,7 +26,7 @@ from .piecewise import concave_max
 from .predicates import And, Eq, InList, Like, Or, Predicate, Range
 from .safebound import SafeBound, SafeBoundConfig
 from .serialization import load_stats, save_stats, stats_digest
-from .stats_builder import ParallelBuildPlan, build_statistics
+from .stats_builder import build_statistics
 from .updates import FrequencyCounter, IncrementalColumnStats, pad_cds
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "pointwise_min",
     "pointwise_max",
     "pointwise_sum",
-    "ParallelBuildPlan",
     "build_statistics",
     "Predicate",
     "Eq",

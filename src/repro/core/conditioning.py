@@ -118,23 +118,15 @@ def _factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, uniques
 
 
-def pair_group_sequences(
-    group_codes: np.ndarray, join_values: np.ndarray, weights: np.ndarray | None = None
-):
+def pair_group_sequences(group_codes: np.ndarray, join_values: np.ndarray):
     """Per-group conditioned degree-sequence data, fully vectorised.
 
     Returns ``(codes, counts, ranks, cumsums)`` where each entry describes
     one (group, join-value) pair: the group code, the pair's frequency, its
     1-based rank within the group in descending frequency order, and the
     running frequency sum within the group (i.e. the group's CDS sampled at
-    that rank).
-
-    ``weights`` gives each input row an integer multiplicity (default 1):
-    passing rows pre-deduplicated to distinct (group, join value) pairs with
-    their occurrence counts yields bit-identical results to passing the
-    expanded rows, because every downstream quantity is a function of the
-    row *multiset* — this is what lets the sharded parallel build feed
-    merged pair counters through the exact serial code path.
+    that rank).  Every output is a function of the row *multiset*: the
+    input order of the rows does not matter.
     """
     if not len(group_codes):
         empty = np.array([], dtype=np.int64)
@@ -145,12 +137,7 @@ def pair_group_sequences(
     new_pair = np.concatenate(([True], (g[1:] != g[:-1]) | (v[1:] != v[:-1])))
     starts = np.flatnonzero(new_pair)
     pair_group = g[starts]
-    if weights is None:
-        pair_count = np.diff(np.concatenate((starts, [len(g)])))
-    else:
-        cum = np.concatenate(([0], np.cumsum(np.asarray(weights, dtype=np.int64)[order])))
-        ends = np.concatenate((starts[1:], [len(g)]))
-        pair_count = cum[ends] - cum[starts]
+    pair_count = np.diff(np.concatenate((starts, [len(g)])))
     # Sort pairs by (group, count desc) to get within-group ranks.
     order2 = np.lexsort((-pair_count, pair_group))
     pg = pair_group[order2]
@@ -402,10 +389,9 @@ def _build_equality_stats(
     join_values: np.ndarray,
     config: ConditioningConfig,
     compress: RunListCompressor,
-    weights: np.ndarray | None = None,
 ) -> EqualityStats:
     uniques = prep.uniques
-    pg, pc, ranks, cumsums = pair_group_sequences(prep.codes, join_values, weights)
+    pg, pc, ranks, cumsums = pair_group_sequences(prep.codes, join_values)
     group_totals = np.zeros(len(uniques))
     np.add.at(group_totals, pg, pc.astype(float))
     mcv_count = min(config.mcv_size, len(uniques))
@@ -505,8 +491,7 @@ def equi_depth_boundaries(
 ) -> tuple[np.ndarray, int]:
     """Finest-level bucket edges plus the effective level count for the
     hierarchical equi-depth histogram of ``values``.  A pure function of
-    the value multiset, shared by every join column of a table — the
-    parallel build computes it once per filter column."""
+    the value multiset, shared by every join column of a table."""
     levels = histogram_levels
     num_fine = 2**levels
     quantiles = np.linspace(0, 1, num_fine + 1)
@@ -530,14 +515,13 @@ def _build_histogram_stats(
     base: PiecewiseLinear,
     config: ConditioningConfig,
     compress: RunListCompressor,
-    weights: np.ndarray | None = None,
 ) -> HistogramStats:
     levels = prep.levels
     sequences: list[PiecewiseLinear] = []
     keys: list[tuple[int, int]] = []
     for level in range(levels, 0, -1):
         codes = prep.fine_codes >> (levels - level)
-        pg, pc, _, _ = pair_group_sequences(codes, join_values, weights)
+        pg, pc, _, _ = pair_group_sequences(codes, join_values)
         for bucket, runs in zip(*group_runs(pg, pc)):
             sequences.append(compress(*runs))
             keys.append((level, bucket))
@@ -583,18 +567,13 @@ def _build_trigram_stats(
     base: PiecewiseLinear,
     config: ConditioningConfig,
     compress: RunListCompressor,
-    weights: np.ndarray | None = None,
 ) -> TrigramStats:
     # One grouped pass over every (gram, row) membership; join values are
     # keyed like DegreeSequence.from_column so equal values (NaN included)
     # count as one.
     top = prep.top_grams
     rows = prep.gram_rows
-    pg, pc, _, _ = pair_group_sequences(
-        prep.gram_group,
-        _join_keys(join_values)[rows],
-        None if weights is None else np.asarray(weights)[rows],
-    )
+    pg, pc, _, _ = pair_group_sequences(prep.gram_group, _join_keys(join_values)[rows])
     runs_of = dict(zip(*group_runs(pg, pc)))
     sequences = [compress(*runs_of[gi]) for gi in range(len(top))]
     no_gram = runs_of.get(len(top))
@@ -974,23 +953,14 @@ def filter_column_stats(
     base: PiecewiseLinear,
     config: ConditioningConfig,
     compress: RunListCompressor,
-    weights: np.ndarray | None = None,
 ) -> FilterColumnStats:
-    """The statistics of one (join column, filter column) pair.
-
-    ``weights`` gives each row an integer multiplicity (default 1): rows
-    deduplicated to distinct (filter value, join value) pairs with their
-    counts give the same statistics as the expanded rows, which is how the
-    parallel build feeds its merged counters through this function.
-    """
+    """The statistics of one (join column, filter column) pair."""
     fstats = FilterColumnStats()
-    fstats.equality = _build_equality_stats(prep, join_values, config, compress, weights)
+    fstats.equality = _build_equality_stats(prep, join_values, config, compress)
     if prep.is_string:
-        fstats.trigram = _build_trigram_stats(prep, join_values, base, config, compress, weights)
+        fstats.trigram = _build_trigram_stats(prep, join_values, base, config, compress)
     else:
-        fstats.histogram = _build_histogram_stats(
-            prep, join_values, base, config, compress, weights
-        )
+        fstats.histogram = _build_histogram_stats(prep, join_values, base, config, compress)
     return fstats
 
 

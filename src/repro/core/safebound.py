@@ -43,12 +43,6 @@ class SafeBoundConfig:
     # apply_insert/apply_delete can maintain the statistics between
     # recompress-and-republish cycles (see core/updates.py).
     track_updates: bool = False
-    # Offline-build parallelism (see core.stats_builder.ParallelBuildPlan).
-    # ``build_workers > 1`` shards every table's rows and builds partial
-    # statistics in a thread pool; the result is bit-identical to the
-    # serial build.
-    build_workers: int = 0
-    build_shard_rows: int | None = None
 
 
 def _rewrite_predicate(
@@ -129,8 +123,6 @@ class SafeBound:
             precompute_pk_joins=self.config.precompute_pk_joins,
             build_trigrams=self.config.build_trigrams,
             track_updates=self.config.track_updates,
-            num_workers=self.config.build_workers,
-            shard_rows=self.config.build_shard_rows,
         )
         self._db = db
         self._invalidate_conditioning()

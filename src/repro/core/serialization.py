@@ -348,10 +348,9 @@ def stats_digest(stats: SafeBoundStats) -> str:
     Hashes the canonical arena-family representation — the structural
     manifest plus every concatenated array's raw bytes — except
     ``build_seconds``, which is wall-clock noise, so two builds of equal
-    statistics digest equally no matter how long they took or how they
-    were parallelised, and a store loaded back from its archive digests
-    like the original.  This is the bit-identity witness for the sharded
-    parallel build, recorded in catalog manifests for provenance.
+    statistics digest equally no matter how long they took, and a store
+    loaded back from its archive digests like the original.  Catalog
+    manifests record it for provenance.
     """
     manifest, arrays = _arena_families(stats)
     return _digest_families(manifest, arrays)

@@ -15,7 +15,6 @@ cross-join correlation assumption.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,27 +24,17 @@ from ..db.table import Table
 from .compression import RunListCompressor
 from .conditioning import (
     ConditioningConfig,
-    FilterColumnPrep,
     JoinColumnStats,
     build_join_column_stats,
     prepare_filter_column,
-    prepare_filter_values,
 )
 from .degree_sequence import DegreeSequence
-from .partial_stats import (
-    TableShardPartial,
-    extract_shard_partial,
-    finalize_fallback_cds,
-    finalize_join_column,
-    merge_shard_partials,
-)
 from .piecewise import PiecewiseLinear
 from .updates import IncrementalColumnStats, pad_cds
 
 __all__ = [
     "RelationStats",
     "SafeBoundStats",
-    "ParallelBuildPlan",
     "build_statistics",
     "virtual_column_name",
 ]
@@ -244,46 +233,6 @@ class SafeBoundStats:
         return max(rel.padding_overhead() for rel in self.relations.values())
 
 
-@dataclass(frozen=True)
-class ParallelBuildPlan:
-    """How the offline phase is distributed over a thread pool.
-
-    ``num_workers <= 1`` means the serial reference build.  ``shard_rows``
-    is the row-shard size (``None`` derives roughly two shards per worker,
-    floored so tiny tables stay single-shard).  Threads share the
-    database without copying it, much of the build's numpy work releases
-    the GIL, and threads are safe inside a multithreaded serving process
-    (``RepublishWorker`` rebuilds there), where forking is not.
-
-    Shard geometry never changes the output: partials merge into the same
-    counters for any split, so the built statistics are bit-identical to a
-    serial build regardless of ``num_workers``/``shard_rows``.
-    """
-
-    num_workers: int = 0
-    shard_rows: int | None = None
-
-    MIN_SHARD_ROWS = 1024
-
-    @property
-    def parallel(self) -> bool:
-        return self.num_workers > 1
-
-    def effective_shard_rows(self, num_rows: int) -> int:
-        if self.shard_rows is not None:
-            return max(int(self.shard_rows), 1)
-        per_worker = -(-num_rows // max(2 * self.num_workers, 1))
-        return max(per_worker, self.MIN_SHARD_ROWS)
-
-    def shards(self, num_rows: int) -> list[tuple[int, int]]:
-        """Half-open row ranges covering ``[0, num_rows)`` (one empty shard
-        for an empty table, so every table still produces a partial)."""
-        if num_rows <= 0:
-            return [(0, 0)]
-        size = self.effective_shard_rows(num_rows)
-        return [(lo, min(lo + size, num_rows)) for lo in range(0, num_rows, size)]
-
-
 def _collect_filter_columns(
     db: Database,
     name: str,
@@ -293,8 +242,8 @@ def _collect_filter_columns(
     build_trigrams: bool,
 ) -> dict[str, np.ndarray]:
     """The filter-column arrays of one table, virtual PK-FK columns
-    included (registered on ``rel``).  Shared by the serial and parallel
-    paths so both condition on exactly the same values."""
+    included (registered on ``rel``), with float zeros normalised so the
+    statistics conditioned on them depend only on the row multiset."""
     tschema = db.schema.tables[name]
     filter_columns: dict[str, np.ndarray] = {}
     for fcol in tschema.filter_columns:
@@ -333,8 +282,8 @@ def _normalize_zeros(values: np.ndarray) -> np.ndarray:
     ``-0.0 == 0.0``, so ``np.unique`` keeps an input-order-dependent
     representative of the pair — which would leak row order into
     ``repr``-hashed Bloom filters and interpolated histogram boundaries,
-    breaking the build's row-multiset invariance (and with it the
-    serial/parallel bit-identity guarantee)."""
+    breaking the build's row-multiset invariance: the same rows stored in
+    another order would digest differently."""
     if values.dtype.kind == "f":
         return values + 0.0
     return values
@@ -346,27 +295,14 @@ def build_statistics(
     precompute_pk_joins: bool = True,
     build_trigrams: bool = True,
     track_updates: bool = False,
-    num_workers: int = 0,
-    shard_rows: int | None = None,
 ) -> SafeBoundStats:
     """Run SafeBound's offline phase over every table of the database.
 
     With ``track_updates``, every join column additionally gets an exact
     frequency counter so the statistics can absorb inserts/deletes through
     :meth:`SafeBoundStats.apply_insert` / ``apply_delete`` between rebuilds.
-
-    ``num_workers > 1`` switches to the sharded parallel pipeline (see
-    :class:`ParallelBuildPlan`): rows are split into shards, per-shard
-    partial statistics are built in a thread pool, merged deterministically,
-    and compressed/clustered per join-column family — producing statistics
-    bit-identical to the serial build.
     """
     config = config or ConditioningConfig()
-    plan = ParallelBuildPlan(num_workers=num_workers, shard_rows=shard_rows)
-    if plan.parallel:
-        return _build_statistics_parallel(
-            db, config, precompute_pk_joins, build_trigrams, track_updates, plan
-        )
     started = time.perf_counter()
     stats = SafeBoundStats()
     compress = RunListCompressor(config.compression_accuracy)
@@ -403,130 +339,3 @@ def build_statistics(
     stats.build_seconds = time.perf_counter() - started
     return stats
 
-
-def _build_statistics_parallel(
-    db: Database,
-    config: ConditioningConfig,
-    precompute_pk_joins: bool,
-    build_trigrams: bool,
-    track_updates: bool,
-    plan: ParallelBuildPlan,
-) -> SafeBoundStats:
-    """The sharded pipeline: extract partials per shard in the thread pool,
-    merge them per table in shard order, then run compression/clustering on
-    the merged counters — finalize tasks also fan out to the pool.
-
-    Determinism: shard partials merge under a canonical ordering and every
-    finalize task reuses the serial builder functions with multiplicity
-    weights, so the result is bit-identical to ``num_workers=0`` for any
-    worker count or shard size.
-    """
-    started = time.perf_counter()
-    stats = SafeBoundStats()
-    rels: dict[str, RelationStats] = {}
-    shard_meta: dict[str, int] = {}
-    tables: dict[str, Table] = {}
-
-    with ThreadPoolExecutor(max_workers=plan.num_workers) as executor:
-        shard_futures = {}
-        for name, tschema in db.schema.tables.items():
-            if name not in db:
-                continue
-            table = db.table(name)
-            tables[name] = table
-            rel = RelationStats(name, table.num_rows)
-            filter_columns = _collect_filter_columns(
-                db, name, table, rel, precompute_pk_joins, build_trigrams
-            )
-            rels[name] = rel
-            shards = plan.shards(table.num_rows)
-            shard_meta[name] = len(shards)
-            for index, (lo, hi) in enumerate(shards):
-                future = executor.submit(
-                    extract_shard_partial,
-                    name,
-                    {c: v[lo:hi] for c, v in table.columns.items()},
-                    list(tschema.join_columns),
-                    {c: v[lo:hi] for c, v in filter_columns.items()},
-                )
-                shard_futures[future] = (name, index)
-
-        # Merge each table's partials as soon as its last shard lands, and
-        # immediately fan its finalize work back out to the pool.
-        collected: dict[str, dict[int, TableShardPartial]] = {}
-        finalize_futures = []
-        for future in as_completed(shard_futures):
-            name, index = shard_futures[future]
-            collected.setdefault(name, {})[index] = future.result()
-            if len(collected[name]) != shard_meta[name]:
-                continue
-            merged = merge_shard_partials(
-                [collected[name][i] for i in range(shard_meta[name])]
-            )
-            del collected[name]
-            tschema = db.schema.tables[name]
-            filter_order = _filter_column_order(rels[name], tschema)
-            # A filter column's distinct values and multiplicities are the
-            # same in every join column's pairs: prepare each once per table.
-            preps: dict[str, FilterColumnPrep] = {}
-            for (jcol, fcol), pc in merged.pair_counts.items():
-                if fcol not in preps:
-                    preps[fcol] = prepare_filter_values(
-                        pc.f_uniques, pc.filter_totals(), config
-                    )
-            for jcol in tschema.join_columns:
-                pairs = {
-                    fcol: merged.pair_counts[(jcol, fcol)]
-                    for fcol in filter_order
-                    if fcol != jcol
-                }
-                finalize_futures.append(
-                    executor.submit(
-                        finalize_join_column,
-                        name,
-                        jcol,
-                        merged.column_counts[jcol],
-                        pairs,
-                        {fcol: preps[fcol] for fcol in pairs},
-                        config,
-                    )
-                )
-            finalize_futures.append(
-                executor.submit(
-                    finalize_fallback_cds,
-                    name,
-                    merged.column_counts,
-                    config.compression_accuracy,
-                )
-            )
-
-        join_results: dict[tuple[str, str], JoinColumnStats] = {}
-        fallback_results: dict[str, dict[str, PiecewiseLinear]] = {}
-        for future in finalize_futures:
-            result = future.result()
-            if len(result) == 3:
-                name, jcol, jstats = result
-                join_results[(name, jcol)] = jstats
-            else:
-                name, fallback = result
-                fallback_results[name] = fallback
-
-    # Deterministic assembly in schema order, matching the serial layout.
-    for name, rel in rels.items():
-        tschema = db.schema.tables[name]
-        for jcol in tschema.join_columns:
-            rel.join_stats[jcol] = join_results[(name, jcol)]
-        rel.fallback_cds = {
-            col: fallback_results[name][col] for col in tables[name].column_names
-        }
-        if track_updates:
-            rel.attach_incremental(tables[name], config.compression_accuracy)
-        stats.relations[name] = rel
-    stats.build_seconds = time.perf_counter() - started
-    return stats
-
-
-def _filter_column_order(rel: RelationStats, tschema) -> list[str]:
-    """The filter-family order of the serial build: declared filter columns
-    first, then virtual PK-FK columns in registration order."""
-    return list(tschema.filter_columns) + list(rel.virtual_columns.values())

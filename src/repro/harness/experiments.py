@@ -25,7 +25,7 @@ from ..core.compression import (
 )
 from ..core.conditioning import pair_group_sequences
 from ..core.degree_sequence import DegreeSequence
-from ..core.safebound import SafeBound, SafeBoundConfig
+from ..core.safebound import SafeBound
 from ..estimators import (
     BayesCardEstimator,
     NeuroCardEstimator,
@@ -81,8 +81,9 @@ METHOD_ORDER = [
 
 @dataclass
 class SuiteConfig:
-    """Scale knobs for the end-to-end suite (paper scale is much larger;
-    EXPERIMENTS.md documents the mapping)."""
+    """Scale knobs for the end-to-end suite (the paper's datasets are
+    orders of magnitude larger; README.md, "Benchmarks", states the
+    scales the benchmarks run at)."""
 
     imdb_scale: float = 0.25
     stats_scale: float = 0.25
@@ -92,38 +93,16 @@ class SuiteConfig:
     num_stats: int = 40
     seed: int = 1
     methods: list[str] = field(default_factory=lambda: list(METHOD_ORDER))
-    # SafeBound offline-build parallelism (0 = serial reference build; the
-    # parallel build is bit-identical, so results never depend on these).
-    build_workers: int = 0
-    build_shard_rows: int | None = None
 
 
-def default_estimators(
-    methods: list[str] | None = None,
-    safebound_factory=None,
-    build_workers: int = 0,
-    build_shard_rows: int | None = None,
-) -> dict:
+def default_estimators(methods: list[str] | None = None, safebound_factory=None) -> dict:
     """Factories for every compared system.
 
     ``safebound_factory`` substitutes the plain in-process ``SafeBound``
     with any protocol-compatible variant — e.g. a
     ``repro.service.CatalogBackedSafeBound`` so the whole measurement
-    pipeline runs against catalog-published statistics.  The build worker
-    knobs configure SafeBound's sharded parallel offline phase (see
-    ``core.stats_builder.ParallelBuildPlan``); they only change build
-    wall-clock, never the statistics, which stay bit-identical to a
-    serial build.
+    pipeline runs against catalog-published statistics.
     """
-
-    def make_safebound():
-        return SafeBound(
-            SafeBoundConfig(
-                build_workers=build_workers,
-                build_shard_rows=build_shard_rows,
-            )
-        )
-
     factories = {
         "TrueCardinality": TrueCardinalityEstimator,
         "Postgres": PostgresEstimator,
@@ -133,7 +112,7 @@ def default_estimators(
         "NeuroCard": lambda: NeuroCardEstimator(num_walks=50),
         "PessEst": PessEstEstimator,
         "Simplicity": SimplicityEstimator,
-        "SafeBound": safebound_factory or make_safebound,
+        "SafeBound": safebound_factory or SafeBound,
     }
     if methods is None:
         return factories
@@ -160,11 +139,7 @@ def run_end_to_end(
     """The shared measurement pass behind Figs 5-8."""
     config = config or SuiteConfig()
     workloads = build_workloads(config)
-    factories = default_estimators(
-        config.methods,
-        build_workers=config.build_workers,
-        build_shard_rows=config.build_shard_rows,
-    )
+    factories = default_estimators(config.methods)
     return run_suite(workloads, factories, indexes_enabled=indexes_enabled)
 
 

@@ -13,11 +13,11 @@ live ingest rounds republishing under load.  The ``client``
 subcommand is the matching multi-process load generator.
 
 The ``stats-info`` subcommand prints a published version's manifest —
-size on disk, array counts, content digest and build parallelism (the
-serving-side counterpart of the paper's Fig 8a memory reporting).  The
-``explain`` and ``trace`` subcommands are the observability CLI
-(``repro.obs``): per-stage latency breakdown of one bound computation,
-and Chrome-trace export of a traced batch.
+size on disk, array counts and content digest (the serving-side
+counterpart of the paper's Fig 8a memory reporting).  The ``explain``
+and ``trace`` subcommands are the observability CLI (``repro.obs``):
+per-stage latency breakdown of one bound computation, and Chrome-trace
+export of a traced batch.
 
 Examples::
 
@@ -136,11 +136,6 @@ def stats_info(argv: list[str]) -> int:
         "build_seconds": entry.build_seconds,
         "num_sequences": entry.num_sequences,
         "stats_digest": entry.metadata.get("stats_digest"),
-        "build_parallelism": {
-            k: entry.metadata[k]
-            for k in ("build_workers", "build_shard_rows")
-            if k in entry.metadata
-        },
         **describe_stats_file(str(path)),
     }
     print(json.dumps(info, indent=2))

@@ -178,9 +178,9 @@ class StatsVersion:
     """One published statistics version of one database.
 
     ``metadata`` carries build provenance: the content digest of the
-    statistics (``stats_digest``) plus, for parallel builds, the worker /
-    shard configuration that produced them — the digest is what lets an
-    operator verify that a parallel build matches its serial reference.
+    statistics (``stats_digest``), which lets an operator check that two
+    builds of the same data produced the same statistics, plus whatever
+    the publisher added (the inserts a build saw).
     """
 
     database: str
@@ -320,8 +320,7 @@ class StatsCatalog:
 
         The manifest entry always records the statistics' content digest
         (``stats_digest``); ``metadata`` adds caller context (e.g. the
-        parallel-build worker and shard configuration that produced the
-        archive).
+        inserts the build saw).
         """
         with self._lock:
             directory = self._db_dir(database)
@@ -653,15 +652,11 @@ class CatalogBackedSafeBound(CardinalityEstimator):
         self.build_seconds = sb.build_seconds
 
     def build_metadata(self) -> dict:
-        """Build provenance recorded with every publish: the parallelism
-        and the inserts the statistics were built through (the builder
-        holds the update stream still, so every insert applied so far is
-        in the data it builds from)."""
-        return {
-            "build_workers": self.config.build_workers,
-            "build_shard_rows": self.config.build_shard_rows,
-            "inserts_applied": self.inserts_applied,
-        }
+        """Build provenance recorded with every publish: the inserts the
+        statistics were built through (the builder holds the update stream
+        still, so every insert applied so far is in the data it builds
+        from)."""
+        return {"inserts_applied": self.inserts_applied}
 
     def refresh(self, db: Database | None = None) -> bool:
         """Hot-swap to the latest published version, if newer.

@@ -91,25 +91,26 @@ class TestStatsCatalog:
     def test_stats_info_reads_manifests_with_retired_build_pool(
         self, built, tmp_path, capsys
     ):
-        """Versions published while the build offered a process pool carry
-        a ``build_pool`` metadata key; they stay readable and loadable, and
-        new publishes no longer write the key."""
+        """Versions published while the build offered a thread or process
+        pool carry ``build_workers``, ``build_shard_rows`` and
+        ``build_pool`` metadata keys; they stay readable and loadable, and
+        new publishes write none of them."""
+        from repro.core.serialization import stats_digest
         from repro.service.__main__ import stats_info
 
+        retired = {"build_workers": 4, "build_shard_rows": None, "build_pool": "process"}
         catalog = StatsCatalog(tmp_path)
-        catalog.publish(
-            "db1",
-            built.stats,
-            metadata={"build_workers": 4, "build_shard_rows": None, "build_pool": "process"},
-        )
+        catalog.publish("db1", built.stats, metadata=retired)
         assert stats_info(["db1", "--catalog", str(tmp_path)]) == 0
         info = json.loads(capsys.readouterr().out)
-        assert info["build_parallelism"] == {"build_workers": 4, "build_shard_rows": None}
+        assert info["version"] == 1
+        assert info["stats_digest"] == stats_digest(built.stats)
         sb = SafeBound(built.config)
         sb.stats = catalog.load("db1", 1, fresh=True)
         for q in _queries():
             assert sb.bound(q) == built.bound(q)
-        assert "build_pool" not in CatalogBackedSafeBound(catalog, "db1").build_metadata()
+        written = CatalogBackedSafeBound(catalog, "db1").build_metadata()
+        assert not retired.keys() & written.keys()
 
     def test_version_info_and_archive_path(self, built, tmp_path):
         catalog = StatsCatalog(tmp_path)

@@ -189,21 +189,18 @@ class TestVectorisedHelpers:
                 best = max(best, float(sum(vals[:i])))
             assert m(i) >= best - 1e-9
 
-    @given(st.integers(0, 10_000), st.booleans())
+    @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
-    def test_group_runs_match_per_group_degree_sequences(self, seed, weighted):
+    def test_group_runs_match_per_group_degree_sequences(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 400))
         groups = rng.integers(0, 9, n)
         joins = rng.zipf(1.6, n) % 40
-        weights = rng.integers(1, 5, n) if weighted else None
-        pg, pc, _, _ = pair_group_sequences(groups, joins, weights)
+        pg, pc, _, _ = pair_group_sequences(groups, joins)
         got_groups, runs = group_runs(pg, pc)
         assert got_groups == sorted(set(groups.tolist()))
         for g, (freqs, counts) in zip(got_groups, runs):
-            rows = groups == g
-            values = np.repeat(joins[rows], weights[rows] if weighted else 1)
-            ds = DegreeSequence.from_column(values)
+            ds = DegreeSequence.from_column(joins[groups == g])
             assert freqs == tuple(ds.freqs.tolist())
             assert counts == tuple(ds.counts.tolist())
 

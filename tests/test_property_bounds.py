@@ -19,10 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_stats_builder import permute_rows
 
 from repro.core.conditioning import ConditioningConfig
 from repro.core.predicates import And, Eq, InList, Like, Or, Range
 from repro.core.safebound import SafeBound, SafeBoundConfig
+from repro.core.serialization import stats_digest
 from repro.db.database import Database
 from repro.db.query import Query
 from repro.db.schema import Schema
@@ -160,18 +162,16 @@ class TestBoundValidity:
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
-    def test_parallel_built_stats_are_bounds_too(self, data):
+    def test_permuted_row_builds_are_bounds_too(self, data):
         db = data.draw(micro_databases())
-        sb = SafeBound(
-            SafeBoundConfig(
-                conditioning=FAST_CONDITIONING,
-                build_workers=2,
-                build_shard_rows=data.draw(st.integers(1, 64)),
-            )
-        )
-        sb.build(db)
+        permuted = permute_rows(db, data.draw(st.integers(0, 2**31 - 1)))
+        config = SafeBoundConfig(conditioning=FAST_CONDITIONING)
+        sb, reference = SafeBound(config), SafeBound(config)
+        sb.build(permuted)
+        reference.build(db)
+        assert stats_digest(sb.stats) == stats_digest(reference.stats)
         query = data.draw(queries(db))
-        _assert_upper_bound(sb, db, query)
+        _assert_upper_bound(sb, permuted, query)
 
 
 class TestBoundsSurviveUpdates:

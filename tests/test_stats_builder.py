@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 from repro.core.conditioning import ConditioningConfig
+from repro.core.predicates import Eq, Like, Range
+from repro.core.safebound import SafeBound
 from repro.core.serialization import stats_digest
 from repro.core.stats_builder import (
     _pull_dimension_column,
     build_statistics,
     virtual_column_name,
 )
+from repro.db.database import Database
+from repro.db.query import Query
+from repro.db.schema import Schema
+from repro.db.table import Table
 from repro.workloads import make_imdb, make_stats_db
 
 
@@ -134,3 +140,126 @@ class TestPinnedDigests:
         assert stats_digest(_imdb_stats()) == PINNED_DIGESTS["imdb_0.02"]
         assert stats_digest(_stats_ceb_stats()) == PINNED_DIGESTS["stats_0.02_tracked"]
         assert stats_digest(_imdb_stats()) == PINNED_DIGESTS["imdb_0.02"]
+
+
+@pytest.fixture(scope="module")
+def nasty_db():
+    """A star schema with the inputs where row order could leak into the
+    statistics: dangling foreign keys (NaN / None virtual columns), low-
+    and high-cardinality strings, skewed joins, and float filter columns
+    that mix ``-0.0`` and ``0.0``."""
+    rng = np.random.default_rng(42)
+    n_dim, n_fact = 220, 2600
+    schema = Schema()
+    schema.add_table("dim", primary_key="id", filter_columns=["year", "label", "shift"])
+    schema.add_table("fact", join_columns=["dim_id"], filter_columns=["score", "tag"])
+    schema.add_table("fact2", join_columns=["dim_id"], filter_columns=["tag"])
+    schema.add_foreign_key("fact", "dim_id", "dim", "id")
+    schema.add_foreign_key("fact2", "dim_id", "dim", "id")
+    db = Database(schema)
+    words = ["alpha", "beta", "gamma", "delta", "omega", "Quixote"]
+    label = np.array(
+        [words[i % len(words)] + str(i % 17) for i in range(n_dim)], dtype=object
+    )
+    db.add_table(
+        Table(
+            "dim",
+            {
+                "id": np.arange(n_dim),
+                "year": 1950 + rng.integers(0, 60, n_dim),
+                "label": label,
+                "shift": rng.choice(np.array([-0.0, 0.0, 0.5, -1.5]), n_dim),
+            },
+        )
+    )
+    fk = (rng.zipf(1.5, n_fact) - 1) % n_dim
+    # Dangling foreign keys: the pulled virtual columns get NaN (numeric)
+    # and None (string) entries.
+    fk[:80] = n_dim + rng.integers(0, 7, 80)
+    db.add_table(
+        Table(
+            "fact",
+            {
+                "dim_id": fk,
+                "score": np.round(rng.normal(0.0, 2.0, n_fact), 1),
+                "tag": np.array(
+                    [words[i] for i in rng.integers(0, 3, n_fact)], dtype=object
+                ),
+            },
+        )
+    )
+    fk2 = (rng.zipf(1.3, 700) - 1) % n_dim
+    db.add_table(
+        Table(
+            "fact2",
+            {
+                "dim_id": fk2,
+                "tag": np.array(
+                    [words[i] for i in rng.integers(0, len(words), 700)], dtype=object
+                ),
+            },
+        )
+    )
+    return db
+
+
+def permute_rows(db: Database, seed: int) -> Database:
+    """``db`` with the rows of every table in a seeded random order."""
+    rng = np.random.default_rng(seed)
+    out = Database(db.schema)
+    for name in db.table_names():
+        table = db.table(name)
+        out.add_table(table.take(rng.permutation(table.num_rows)))
+    return out
+
+
+class TestRowOrderInvariance:
+    """The offline phase is a function of each table's row multiset:
+    storing the same rows in another order gives the same statistics,
+    byte for byte, and therefore the same bounds."""
+
+    @pytest.fixture(scope="class")
+    def permuted(self, nasty_db):
+        return [permute_rows(nasty_db, seed) for seed in range(5)]
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"build_trigrams": False}, {"precompute_pk_joins": False}, {"track_updates": True}],
+        ids=["default", "no_trigrams", "no_pk_joins", "track_updates"],
+    )
+    def test_digest_ignores_row_order(self, nasty_db, permuted, options):
+        expected = stats_digest(build_statistics(nasty_db, **options))
+        for db in permuted:
+            assert stats_digest(build_statistics(db, **options)) == expected
+
+    def test_bounds_ignore_row_order(self, nasty_db, permuted):
+        def star():
+            return (
+                Query()
+                .add_relation("f", "fact")
+                .add_relation("d", "dim")
+                .add_join("f", "dim_id", "d", "id")
+            )
+
+        queries = [
+            star(),
+            star().add_predicate("d", Range("year", low=1960, high=1979)),
+            star().add_predicate("d", Eq("label", "alpha3")).add_predicate(
+                "f", Range("score", high=1.0)
+            ),
+            star().add_predicate("f", Like("tag", "alp")),
+            (
+                Query()
+                .add_relation("f", "fact")
+                .add_relation("f2", "fact2")
+                .add_join("f", "dim_id", "f2", "dim_id")
+                .add_predicate("f2", Eq("tag", "omega"))
+            ),
+        ]
+        reference = SafeBound()
+        reference.build(nasty_db)
+        expected = [reference.bound(q) for q in queries]
+        for db in permuted:
+            sb = SafeBound()
+            sb.build(db)
+            assert [sb.bound(q) for q in queries] == expected
