@@ -232,6 +232,25 @@ class TestRowOrderInvariance:
         for db in permuted:
             assert stats_digest(build_statistics(db, **options)) == expected
 
+    @pytest.mark.parametrize("block_rows", [400, 513, None, 1])
+    def test_digest_ignores_block_order(self, nasty_db, block_rows):
+        """Cut every table into contiguous blocks of ``block_rows`` rows
+        (``None``: eight equal blocks) and store the blocks last to first.
+        Block boundaries are where a per-block build would be merged, so a
+        merge that depended on the order of the blocks shows here."""
+        expected = stats_digest(build_statistics(nasty_db))
+        out = Database(nasty_db.schema)
+        for name in nasty_db.table_names():
+            table = nasty_db.table(name)
+            rows = np.arange(table.num_rows)
+            if block_rows is None:
+                blocks = np.array_split(rows, 8)
+            else:
+                starts = range(0, len(rows), block_rows)
+                blocks = [rows[i : i + block_rows] for i in starts]
+            out.add_table(table.take(np.concatenate(blocks[::-1])))
+        assert stats_digest(build_statistics(out)) == expected
+
     def test_bounds_ignore_row_order(self, nasty_db, permuted):
         def star():
             return (
