@@ -94,8 +94,8 @@ def main() -> None:
         with server:
             report = generate_load(server, queries, num_requests=200, concurrency=8)
             print(f"served {report['requests']} requests at {report['qps']:.0f} q/s, "
-                  f"mean batch {report['metrics']['mean_batch_size']:.1f}, "
-                  f"p99 latency {report['metrics']['request_latency']['p99'] * 1e3:.2f} ms")
+                  f"mean batch {report['metrics']['server.batch_size']['mean']:.1f}, "
+                  f"p99 latency {report['metrics']['server.request_seconds']['p99'] * 1e3:.2f} ms")
 
             # Micro-batched answers are bit-identical to direct calls.
             direct = [estimator.bound(q) for q in queries]
@@ -126,7 +126,7 @@ def main() -> None:
             version = ingest.maybe_republish()
             assert version is not None, "staleness crossed the threshold"
             report2 = generate_load(server, queries, num_requests=100, concurrency=4)
-            assert report2["metrics"]["rejected"] == 0
+            assert report2["metrics"]["server.rejected"] == 0
             print(f"republished {version.label}; server now serves "
                   f"version {estimator.version} (staleness {estimator.staleness() * 100:.1f}%), "
                   f"no rejected requests")

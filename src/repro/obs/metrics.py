@@ -2,28 +2,36 @@
 
 A :class:`MetricsRegistry` holds named metrics of three kinds:
 
-* **counter** — monotonically increasing float (``inc``);
+* **counter** — monotonically increasing number (``inc``);
 * **gauge** — last-write-wins float (``set_gauge``);
-* **histogram** — log-spaced bucket counts plus count/sum/max
-  (``observe``), rendered as approximate p50/p95/p99 at snapshot time.
+* **histogram** — count/sum/max plus log-spaced bucket counts
+  (``observe``), rendered as p50/p95/p99 at snapshot time.  Buckets are
+  :data:`HISTOGRAM_RATIO` (2**(1/8), eight per octave) wide, so a
+  reported quantile is never below the exact (inverted-CDF) quantile
+  and at most ~9.1% above it — capped by the observed max, which is
+  exact, like the count and sum.  Histograms cover the registry's whole
+  lifetime.
 
-Each metric is a small numpy vector mutated under a thread lock — cheap
-enough for per-batch instrumentation.
+Every update takes the registry's lock, so threads may share one.
 
-Like the tracer, a module-global registry (:func:`install_metrics`)
-feeds the instrumentation helpers :func:`inc` / :func:`observe` /
-:func:`set_gauge`; with none installed they are a global load and a
-``None`` check.
+A process has two kinds of registry.  The module-global one
+(:func:`install_metrics`) feeds the instrumentation helpers :func:`inc`
+/ :func:`observe` / :func:`set_gauge` that the engine calls; with none
+installed they are a global load and a ``None`` check, so it is off by
+default.  Each ``EstimationServer`` also owns a registry of its own,
+always on, for its request counters and latency histograms;
+``EstimationServer.metrics_snapshot()`` merges the two.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
-
-import numpy as np
+from bisect import bisect_left
+from itertools import accumulate
 
 __all__ = [
+    "HISTOGRAM_RATIO",
     "MetricsRegistry",
     "get_metrics",
     "install_metrics",
@@ -90,15 +98,18 @@ def set_gauge(name: str, value: float) -> None:
 
 
 # ----------------------------------------------------------------------
-# Metric value-vector layout: a fixed float64 vector per metric, indexed
-# by kind.
+# Histogram layout: a list [count, sum, max, bucket_0, ..., bucket_N].
+# Bucket i counts values in (_HIST_BOUNDS[i-1], _HIST_BOUNDS[i]]; the
+# last one counts values above the top bound.  The bounds run from 1 µs
+# to ~1,070 in steps of HISTOGRAM_RATIO: every latency in seconds, from
+# one kernel call to a full workload batch, and every batch size.
 # ----------------------------------------------------------------------
-_KIND_COUNTER, _KIND_GAUGE, _KIND_HISTOGRAM = 1, 2, 3
-# Histogram layout: [0]=count, [1]=sum, [2]=max, [3:3+len(bounds)+1]=buckets.
-# Log-spaced bounds covering 1µs .. ~134s — the latency range of every
-# stage from one kernel call to a full workload batch.
-_HIST_BOUNDS = np.array([1e-6 * 2.0 ** k for k in range(27)])
-_VALUES = 3 + len(_HIST_BOUNDS) + 1  # 31 float64 per metric
+_BUCKETS_PER_OCTAVE = 8
+HISTOGRAM_RATIO = 2.0 ** (1.0 / _BUCKETS_PER_OCTAVE)
+_HIST_BOUNDS = [
+    1e-6 * 2.0 ** (k / _BUCKETS_PER_OCTAVE) for k in range(30 * _BUCKETS_PER_OCTAVE + 1)
+]
+_QUANTILES = ((0.50, "p50"), (0.95, "p95"), (0.99, "p99"))
 
 
 class MetricsRegistry:
@@ -106,7 +117,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: dict[str, tuple[int, np.ndarray]] = {}
+        self._counters: dict[str, float] = {}
+        self._gauges: dict[str, float] = {}
+        self._histograms: dict[str, list] = {}
         # Total update calls (inc/observe/set) — consumed by the overhead
         # benchmark to price the per-call instrumentation cost.
         self.update_ops = 0
@@ -114,74 +127,65 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Updates (thread-safe)
     # ------------------------------------------------------------------
-    def _values(self, name: str, kind: int) -> np.ndarray:
-        entry = self._metrics.get(name)
-        if entry is None:
-            entry = self._metrics[name] = (kind, np.zeros(_VALUES))
-        return entry[1]
-
     def inc(self, name: str, n: float = 1) -> None:
         with self._lock:
             self.update_ops += 1
-            self._values(name, _KIND_COUNTER)[0] += n
+            self._counters[name] = self._counters.get(name, 0) + n
 
     def set_gauge(self, name: str, value: float) -> None:
         with self._lock:
             self.update_ops += 1
-            self._values(name, _KIND_GAUGE)[0] = value
+            self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
-        bucket = int(np.searchsorted(_HIST_BOUNDS, value, side="right"))
+        bucket = 3 + bisect_left(_HIST_BOUNDS, value)
         with self._lock:
             self.update_ops += 1
-            values = self._values(name, _KIND_HISTOGRAM)
-            values[0] += 1
-            values[1] += value
-            values[2] = max(values[2], value)
-            values[3 + bucket] += 1
+            hist = self._histograms.get(name)
+            if hist is None:
+                hist = self._histograms[name] = [0, 0.0, value] + [0] * (
+                    len(_HIST_BOUNDS) + 1
+                )
+            hist[0] += 1
+            hist[1] += value
+            if value > hist[2]:
+                hist[2] = value
+            hist[bucket] += 1
 
     # ------------------------------------------------------------------
-    # Snapshot
+    # Reads
     # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """A JSON-friendly view of every metric."""
+    def value(self, name: str) -> float:
+        """The current value of counter or gauge ``name`` (0 if it was
+        never updated)."""
         with self._lock:
-            return {
-                name: _render(kind, values)
-                for name, (kind, values) in sorted(self._metrics.items())
-            }
+            return self._counters.get(name, self._gauges.get(name, 0))
+
+    def snapshot(self) -> dict:
+        """A JSON-friendly view of every metric, sorted by name."""
+        with self._lock:
+            flat = {name: float(v) for name, v in self._gauges.items()}
+            flat.update(
+                (name, int(v) if float(v).is_integer() else float(v))
+                for name, v in self._counters.items()
+            )
+            histograms = [(name, list(h)) for name, h in self._histograms.items()]
+        flat.update((name, _render_histogram(h)) for name, h in histograms)
+        return dict(sorted(flat.items()))
 
     def __repr__(self) -> str:
-        return (
-            f"MetricsRegistry(metrics={len(self._metrics)}, "
-            f"update_ops={self.update_ops})"
-        )
+        metrics = len(self._counters) + len(self._gauges) + len(self._histograms)
+        return f"MetricsRegistry(metrics={metrics}, update_ops={self.update_ops})"
 
 
-def _render(kind: int, values: np.ndarray):
-    if kind == _KIND_HISTOGRAM:
-        count = float(values[0])
-        summary = {
-            "count": int(count),
-            "sum": float(values[1]),
-            "mean": float(values[1] / count) if count else 0.0,
-            "max": float(values[2]),
-        }
-        buckets = values[3:]
-        cumulative = np.cumsum(buckets)
-        for q in (0.50, 0.95, 0.99):
-            if count:
-                bucket = int(np.searchsorted(cumulative, q * count))
-                upper = (
-                    _HIST_BOUNDS[bucket]
-                    if bucket < len(_HIST_BOUNDS)
-                    else float(values[2])
-                )
-                # The quantile lies in this bucket; its upper bound is the
-                # conservative (over-)estimate, capped by the observed max.
-                summary[f"p{int(q * 100)}"] = float(min(upper, values[2]))
-            else:
-                summary[f"p{int(q * 100)}"] = 0.0
-        return summary
-    value = float(values[0])
-    return int(value) if kind == _KIND_COUNTER and value.is_integer() else value
+def _render_histogram(hist: list) -> dict:
+    count, total, peak = hist[0], float(hist[1]), float(hist[2])
+    summary = {"count": count, "sum": total, "mean": total / count, "max": peak}
+    cumulative = list(accumulate(hist[3:]))
+    for q, key in _QUANTILES:
+        bucket = bisect_left(cumulative, q * count)
+        # The quantile lies in this bucket; its upper bound over-estimates
+        # it by at most HISTOGRAM_RATIO, and the observed max caps it.
+        upper = _HIST_BOUNDS[bucket] if bucket < len(_HIST_BOUNDS) else peak
+        summary[key] = min(upper, peak)
+    return summary

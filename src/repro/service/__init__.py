@@ -1,4 +1,4 @@
-"""The bound-serving subsystem: catalog, server, metrics, live ingest.
+"""The bound-serving subsystem: catalog, server, live ingest, network tier.
 
 Composes the library pieces into a long-running service:
 
@@ -17,7 +17,6 @@ Composes the library pieces into a long-running service:
 
 from .catalog import CatalogBackedSafeBound, StatsCatalog, StatsVersion
 from .ingest import RepublishWorker, UpdateIngest, append_rows, remove_rows
-from .metrics import LatencyRecorder, ServerMetrics
 from .net import NetClient, NetRequestError, NetServer, generate_load_net
 from .server import EstimationServer, ServerOverloadedError, generate_load
 
@@ -32,8 +31,6 @@ __all__ = [
     "NetClient",
     "NetRequestError",
     "generate_load_net",
-    "LatencyRecorder",
-    "ServerMetrics",
     "UpdateIngest",
     "RepublishWorker",
     "append_rows",

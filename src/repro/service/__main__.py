@@ -361,7 +361,7 @@ def serve(argv: list[str]) -> int:
             "served_version": estimator.version,
             "generation": estimator.generation(),
             "republishes": ingest.republishes,
-            "metrics": server.metrics.snapshot(),
+            "metrics": server.metrics_snapshot(),
         }
         print(json.dumps(summary, indent=2, default=repr))
     finally:
@@ -470,8 +470,9 @@ def client(argv: list[str]) -> int:
             failures.append(
                 f"completed {report['completed']}/{report['requests']} requests"
             )
-        if report["server_metrics"].get("failed"):
-            failures.append(f"server failed {report['server_metrics']['failed']} requests")
+        failed = report["server_metrics"].get("server.failed")
+        if failed:
+            failures.append(f"server failed {failed} requests")
         generation = report["health"].get("generation")
         if args.expect_min_generation is not None and (
             generation is None or generation < args.expect_min_generation

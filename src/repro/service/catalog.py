@@ -17,8 +17,7 @@ Layout on disk (one directory per logical database)::
 
 Every version is a stats arena (``core/arena.py``): it loads in
 O(manifest) time, and its pages are shared read-only across every process
-(and every pinned consumer) mapping the same version.  Catalogs written
-with the retired ``.npz`` archives are rebuilt, not migrated: their
+mapping the same version.  Catalogs written with the retired ``.npz`` archives are rebuilt, not migrated: their
 ``.npz`` files are not versions of this catalog.
 
 Publishing writes the archive to a temporary name in the same directory,
@@ -51,7 +50,6 @@ import os
 import re
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -207,20 +205,15 @@ _ENTRY_FIELDS = {f.name for f in fields(StatsVersion)} - {"database"}
 class StatsCatalog:
     """A versioned statistics store over :func:`save_stats`/:func:`load_stats`.
 
-    Loaded versions are cached with pin/evict semantics: a server pins the
-    version it serves (immune to eviction); unpinned versions are evicted
-    least-recently-loaded beyond ``max_loaded``.
+    The catalog keeps no loaded statistics: every :meth:`load` maps the
+    version's arena afresh and returns a private copy, which its caller
+    may mutate (``CatalogBackedSafeBound`` pads the copy it serves).
     """
 
-    def __init__(
-        self, root: str | Path, max_loaded: int = 4, fsck_on_open: bool = True
-    ) -> None:
+    def __init__(self, root: str | Path, fsck_on_open: bool = True) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.max_loaded = max_loaded
         self._lock = threading.RLock()
-        self._loaded: OrderedDict[tuple[str, int], SafeBoundStats] = OrderedDict()
-        self._pins: dict[tuple[str, int], int] = {}
         self.last_fsck: FsckReport | None = None
         if fsck_on_open:
             # Conservative pass: quarantine torn versions, rebuild torn
@@ -368,17 +361,13 @@ class StatsCatalog:
     def archive_path(self, entry: StatsVersion) -> Path:
         return self._db_dir(entry.database) / entry.filename
 
-    def load(
-        self, database: str, version: int | None = None, fresh: bool = False
-    ) -> SafeBoundStats:
-        """Load a published version (the latest when ``version`` is None),
-        through the bounded loaded-version cache.
+    def load(self, database: str, version: int | None = None) -> SafeBoundStats:
+        """Load a published version (the latest when ``version`` is None)
+        from disk.
 
-        Cached objects are shared — treat them as immutable.  A consumer
-        that intends to *mutate* the statistics (attach update tracking,
-        absorb inserts/deletes) must pass ``fresh=True`` for a private
-        from-disk copy that bypasses the cache entirely; otherwise its
-        mutations would alias into every other reader of that version.
+        Each call returns a private copy: mutating it (update tracking,
+        absorbed inserts/deletes) never reaches another reader of that
+        version, nor the archive.
         """
         with self._lock:
             if version is None:
@@ -386,61 +375,13 @@ class StatsCatalog:
                 if latest is None:
                     raise LookupError(f"no published statistics for {database!r}")
                 version = latest.version
-            key = (database, version)
-            if not fresh:
-                cached = self._loaded.get(key)
-                if cached is not None:
-                    self._loaded.move_to_end(key)
-                    return cached
             entry = next(
                 (e for e in self._read_entries(database) if e["version"] == version),
                 None,
             )
             if entry is None:
                 raise LookupError(f"{database!r} has no version {version}")
-            stats = load_stats(str(self._db_dir(database) / entry["filename"]))
-            if not fresh:
-                self._loaded[key] = stats
-                self._evict()
-            return stats
-
-    def pin(self, database: str, version: int) -> SafeBoundStats:
-        """Load and pin a version: pinned versions survive eviction.
-
-        The pin is registered *before* the load: ``load`` evicts beyond
-        ``max_loaded`` as part of inserting into the cache, and without
-        the pre-registration it could evict the very version being pinned
-        (every older entry being pinned is enough) — leaving a version
-        that is pinned yet absent from the cache, so later loads re-read
-        it from disk and ``unpin`` can strand other entries past
-        ``max_loaded``.
-        """
-        with self._lock:
-            key = (database, version)
-            self._pins[key] = self._pins.get(key, 0) + 1
-            try:
-                return self.load(database, version)
-            except BaseException:
-                count = self._pins.get(key, 0) - 1
-                if count <= 0:
-                    self._pins.pop(key, None)
-                else:
-                    self._pins[key] = count
-                raise
-
-    def unpin(self, database: str, version: int) -> None:
-        with self._lock:
-            key = (database, version)
-            count = self._pins.get(key, 0) - 1
-            if count <= 0:
-                self._pins.pop(key, None)
-            else:
-                self._pins[key] = count
-            self._evict()
-
-    def loaded_versions(self) -> list[tuple[str, int]]:
-        with self._lock:
-            return list(self._loaded)
+            return load_stats(str(self._db_dir(database) / entry["filename"]))
 
     # ------------------------------------------------------------------
     # Crash repair
@@ -537,13 +478,11 @@ class StatsCatalog:
                 else:
                     label = entry.get("filename") or f"v{entry.get('version')}"
                     report.dropped_versions.append(f"{database}/{label}")
-                    self._loaded.pop((database, entry.get("version")), None)
             # Readable archives the manifest never committed: quarantine.
             committed = {entry["version"] for entry in kept}
             for version, filename in readable.items():
                 if version not in committed:
                     self._quarantine(directory, filename, report, database)
-                    self._loaded.pop((database, version), None)
             if len(kept) != len(entries):
                 self._write_manifest_only(database, kept)
 
@@ -565,23 +504,13 @@ class StatsCatalog:
             site="catalog.fsck",
         )
 
-    def _evict(self) -> None:
-        excess = len(self._loaded) - self.max_loaded
-        if excess <= 0:
-            return
-        for key in [k for k in self._loaded if k not in self._pins]:
-            del self._loaded[key]
-            excess -= 1
-            if excess == 0:
-                break
-
 
 class CatalogBackedSafeBound(CardinalityEstimator):
     """SafeBound served out of a :class:`StatsCatalog`, with hot swap.
 
     Satisfies the harness's :class:`CardinalityEstimator` protocol:
     ``build`` runs the offline phase *and publishes* the result, while the
-    online methods delegate to the currently pinned version.  ``refresh``
+    online methods delegate to the currently served version.  ``refresh``
     atomically swaps in the latest published version — in-flight estimates
     finish on the version they started with; later requests see the new
     one.  Between republish cycles, ``apply_insert``/``apply_delete`` keep
@@ -601,10 +530,11 @@ class CatalogBackedSafeBound(CardinalityEstimator):
         self.database = database
         self.config = config or SafeBoundConfig()
         self._lock = threading.Lock()
-        # Serialises whole build/refresh cycles (publish-check, pin, swap,
-        # unpin).  Without it, two concurrent refreshes both pin the new
-        # version and only one pin is ever released, leaking loaded stats.
-        # Separate from ``_lock`` so estimates are never blocked on disk IO.
+        # Serialises whole build/refresh cycles (publish-check, load,
+        # swap) with each other and with ``apply_insert``, so an insert
+        # pads either the outgoing version before the swap or the
+        # incoming one after it.  Separate from ``_lock`` so estimates are
+        # never blocked on disk IO.
         self._swap_lock = threading.Lock()
         self._safebound: SafeBound | None = None
         self._version: int | None = None
@@ -673,10 +603,9 @@ class CatalogBackedSafeBound(CardinalityEstimator):
         The incoming version takes over the outgoing one's bound engine,
         so query shapes compiled before the swap stay compiled.
 
-        The estimator owns a private from-disk copy of the version it
-        serves (``fresh=True``): it mutates those statistics on every
-        ``apply_insert``/``apply_delete``, which must never alias into the
-        catalog's shared read-only cache.
+        The estimator serves its own from-disk copy of the version
+        (every ``StatsCatalog.load`` returns one): ``apply_insert`` /
+        ``apply_delete`` mutate it, and must not reach any other reader.
         """
         with self._swap_lock:
             latest = self.catalog.latest(self.database)
@@ -687,7 +616,7 @@ class CatalogBackedSafeBound(CardinalityEstimator):
             ):
                 self._ensure_tracking(db)
                 return False
-            stats = self.catalog.load(self.database, latest.version, fresh=True)
+            stats = self.catalog.load(self.database, latest.version)
             sb = SafeBound(self.config)
             sb.stats = stats
             with self._lock:

@@ -16,9 +16,10 @@ Verbs (the ``op`` field of each request frame):
   off, never a dropped connection.
 * ``bound_batch`` — several queries; per-item results so one overloaded
   slot does not discard the computed remainder.
-* ``metrics`` — the server's full metrics snapshot, including the
-  ``observability`` block of the installed metrics registry when one is
-  installed.
+* ``metrics`` — the server's ``metrics_snapshot()``: one flat dict of
+  its own ``server.*`` counters and latency histograms, the installed
+  ``repro.obs`` registry's metrics when one is installed, and the
+  ``health`` and ``conditioning_cache`` blocks.
 * ``health`` — liveness plus the served statistics version and the
   catalog generation.
 
@@ -337,7 +338,7 @@ class NetServer:
         if op == "bound_batch":
             return self._handle_bound_batch(request)
         if op == "metrics":
-            return {"ok": True, "metrics": self.server.metrics.snapshot()}
+            return {"ok": True, "metrics": self.server.metrics_snapshot()}
         if op == "health":
             return self._handle_health()
         return {"ok": False, "error": "bad_request", "detail": f"unknown op {op!r}"}

@@ -39,10 +39,9 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from ..db.query import Query
-from ..obs.metrics import get_metrics, inc as _metric_inc, observe as _metric_observe
+from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.tracing import span as _span
 from . import faults
-from .metrics import ServerMetrics
 
 __all__ = ["ServerOverloadedError", "EstimationServer", "generate_load"]
 
@@ -69,6 +68,27 @@ class _Request:
     enqueued_at: float = field(default_factory=time.perf_counter)
 
 
+class _ServerRegistry(MetricsRegistry):
+    """An :class:`EstimationServer`'s own registry, always on.
+
+    Counters: ``server.accepted`` / ``rejected`` / ``completed`` /
+    ``failed`` / ``swaps``, present (at 0) from the start.  Histograms:
+    ``server.queue_seconds`` (admission -> batch start) and
+    ``server.request_seconds`` (admission -> result) per request;
+    ``server.batch_seconds`` and ``server.batch_size`` per batch.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        for name in ("accepted", "rejected", "completed", "failed", "swaps"):
+            self.inc(f"server.{name}", 0)
+
+    @property
+    def rejected(self) -> int:
+        """Requests refused by admission control (``server.rejected``)."""
+        return self.value("server.rejected")
+
+
 # The shortest idle wait between refresh polls / metrics dumps, so a
 # ``refresh_seconds`` of 0 ("poll before every batch") cannot spin an
 # idle server.
@@ -93,7 +113,6 @@ class EstimationServer:
         max_batch: int = 64,
         refresh_seconds: float = 0.05,
         refresh_db=None,
-        metrics: ServerMetrics | None = None,
         metrics_json_path: str | None = None,
         metrics_json_interval: float = 5.0,
         json_log=None,
@@ -109,12 +128,7 @@ class EstimationServer:
         self.max_queue = max_queue
         self.refresh_seconds = refresh_seconds
         self.refresh_db = refresh_db
-        self.metrics = metrics or ServerMetrics()
-        # Surface the estimator's conditioning-cache counters in metrics
-        # snapshots.
-        stats_fn = getattr(estimator, "conditioning_cache_stats", None)
-        if callable(stats_fn):
-            self.metrics.conditioning_source = stats_fn
+        self.metrics = _ServerRegistry()
         # Periodic metrics dump: the batching loop rewrites this JSON file
         # every ``metrics_json_interval`` seconds while running.
         self.metrics_json_path = metrics_json_path
@@ -144,7 +158,6 @@ class EstimationServer:
         # pinned generation); one success resets it — auto-recovery.
         self.degraded_after_failures = degraded_after_failures
         self._consecutive_refresh_failures = 0
-        self.metrics.health_source = self.health_status
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -153,9 +166,6 @@ class EstimationServer:
         if self._thread is not None:
             raise RuntimeError("server already started")
         self._consecutive_refresh_failures = 0
-        registry = get_metrics()
-        if registry is not None:
-            self.metrics.obs_source = registry.snapshot
         self._accepting = True
         self._stopping = False
         self._thread = threading.Thread(
@@ -215,8 +225,7 @@ class EstimationServer:
                     self._queue.append([request])
                     self._cond.notify()
         if depth >= self.max_queue:
-            self.metrics.record_rejected()
-            _metric_inc("server.rejected")
+            self.metrics.inc("server.rejected")
             self._log_json("rejected", queue_depth=depth, max_queue=self.max_queue)
             exc = ServerOverloadedError(
                 f"request queue full ({depth}/{self.max_queue} pending)"
@@ -224,7 +233,7 @@ class EstimationServer:
             exc.queue_depth = depth
             exc.max_queue = self.max_queue
             raise exc
-        self.metrics.record_accepted()
+        self.metrics.inc("server.accepted")
         return request.future
 
     def submit_many(self, queries: list[Query]) -> list[Future | Exception]:
@@ -309,10 +318,8 @@ class EstimationServer:
             return
         started = time.perf_counter()
         for request in batch:
-            self.metrics.queue_latency.record(started - request.enqueued_at)
-        self.metrics.record_batch(len(batch))
-        _metric_inc("server.batches")
-        _metric_inc("server.requests", len(batch))
+            self.metrics.observe("server.queue_seconds", started - request.enqueued_at)
+        self.metrics.observe("server.batch_size", len(batch))
         queries = [r.query for r in batch]
         try:
             with _span("server.batch", size=len(batch)):
@@ -321,13 +328,13 @@ class EstimationServer:
         except Exception as exc:  # propagate to every waiting client
             self._fail_batch(batch, exc)
             return
-        _metric_observe("server.batch_seconds", time.perf_counter() - started)
+        self.metrics.observe("server.batch_seconds", time.perf_counter() - started)
         self._finish_batch(batch, estimates)
 
     def _finish_batch(self, batch: list[_Request], estimates) -> None:
         # A mismatched estimate count must fail loudly: zip() would
         # silently truncate, leaving the extra futures unresolved (clients
-        # hang until timeout) and over-counting record_completed.
+        # hang until timeout) and over-counting ``server.completed``.
         estimates = list(estimates) if estimates is not None else []
         if len(estimates) != len(batch):
             self._fail_batch(
@@ -341,15 +348,14 @@ class EstimationServer:
             return
         finished = time.perf_counter()
         for request, estimate in zip(batch, estimates):
-            self.metrics.request_latency.record(finished - request.enqueued_at)
+            self.metrics.observe("server.request_seconds", finished - request.enqueued_at)
             request.future.set_result(estimate)
-        self.metrics.record_completed(len(batch))
+        self.metrics.inc("server.completed", len(batch))
 
     def _fail_batch(self, batch: list[_Request], exc: Exception) -> None:
         for request in batch:
             request.future.set_exception(exc)
-        self.metrics.record_failed(len(batch))
-        _metric_inc("server.failed", len(batch))
+        self.metrics.inc("server.failed", len(batch))
         self._log_json(
             "batch_failed",
             size=len(batch),
@@ -383,7 +389,7 @@ class EstimationServer:
         tmp = f"{path}.tmp.{os.getpid()}"
         try:
             with open(tmp, "w") as fh:
-                json.dump(self.metrics.snapshot(), fh, indent=2, default=repr)
+                json.dump(self.metrics_snapshot(), fh, indent=2, default=repr)
             os.replace(tmp, path)
         except Exception:
             # Snapshot dumping is best-effort; never kill the worker loop.
@@ -415,11 +421,31 @@ class EstimationServer:
         self.last_refresh_error = None
         self._consecutive_refresh_failures = 0
         if swapped:
-            self.metrics.record_swap()
+            self.metrics.inc("server.swaps")
 
     # ------------------------------------------------------------------
-    # Health
+    # Metrics and health
     # ------------------------------------------------------------------
+    def metrics_snapshot(self) -> dict:
+        """Every metric of this server as one flat dict.
+
+        The installed ``repro.obs`` registry's metrics (when one is
+        installed: kernel, conditioning and optimizer counters), this
+        server's own ``server.*`` metrics, the ``health`` verdict, and the
+        estimator's ``conditioning_cache`` counters when it exposes them.
+        """
+        installed = get_metrics()
+        snapshot = installed.snapshot() if installed is not None else {}
+        snapshot.update(self.metrics.snapshot())
+        snapshot["health"] = self.health_status()
+        stats_fn = getattr(self.estimator, "conditioning_cache_stats", None)
+        if callable(stats_fn):
+            try:
+                snapshot["conditioning_cache"] = stats_fn()
+            except Exception:  # estimator mid-refresh / not built yet
+                pass
+        return snapshot
+
     def health_status(self) -> dict:
         """The server's health verdict, with a liveness/readiness split.
 
@@ -467,8 +493,8 @@ def generate_load(
     Returns wall-clock throughput, the admission-rejection count, the
     per-request results (index-aligned with the request order; ``None``
     for a request that failed or was dropped), the per-request errors,
-    and the server's metrics snapshot.  A failed request never kills its
-    client thread — the remaining requests still run.
+    and the server's ``metrics_snapshot()``.  A failed request never
+    kills its client thread — the remaining requests still run.
     """
     results: list[float | None] = [None] * num_requests
     errors: dict[int, Exception] = {}
@@ -517,5 +543,5 @@ def generate_load(
         "rejections": int(sum(rejections)),
         "errors": {i: repr(exc) for i, exc in sorted(errors.items())},
         "results": results,
-        "metrics": server.metrics.snapshot(),
+        "metrics": server.metrics_snapshot(),
     }

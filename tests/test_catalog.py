@@ -72,7 +72,7 @@ class TestStatsCatalog:
         assert v2.metadata["stats_digest"] == digest
         for version in (1, 2):
             sb = SafeBound(built.config)
-            sb.stats = catalog.load("db1", version, fresh=True)
+            sb.stats = catalog.load("db1", version)
             assert stats_digest(sb.stats) == digest
             for q in _queries():
                 assert sb.bound(q) == built.bound(q)
@@ -106,7 +106,7 @@ class TestStatsCatalog:
         assert info["version"] == 1
         assert info["stats_digest"] == stats_digest(built.stats)
         sb = SafeBound(built.config)
-        sb.stats = catalog.load("db1", 1, fresh=True)
+        sb.stats = catalog.load("db1", 1)
         for q in _queries():
             assert sb.bound(q) == built.bound(q)
         written = CatalogBackedSafeBound(catalog, "db1").build_metadata()
@@ -158,89 +158,30 @@ class TestStatsCatalog:
         with pytest.raises(LookupError):
             catalog.load("db1", version=99)
 
-    def test_load_caches_loaded_versions(self, built, tmp_path):
+    def test_loads_are_private_copies(self, built, tmp_path):
+        """Every load reads its own copy from disk: two loads of one
+        version are distinct objects, and padding one (as a served
+        version is padded by inserts) leaves the other untouched."""
         catalog = StatsCatalog(tmp_path)
         catalog.publish("db1", built.stats)
-        first = catalog.load("db1")
-        assert catalog.load("db1") is first
-
-    def test_eviction_beyond_max_loaded(self, built, tmp_path):
-        catalog = StatsCatalog(tmp_path, max_loaded=2)
-        for _ in range(4):
-            catalog.publish("db1", built.stats)
-        for v in (1, 2, 3, 4):
-            catalog.load("db1", v)
-        assert len(catalog.loaded_versions()) == 2
-        # Least-recently-loaded versions were evicted.
-        assert catalog.loaded_versions() == [("db1", 3), ("db1", 4)]
-
-    def test_pin_survives_eviction(self, built, tmp_path):
-        catalog = StatsCatalog(tmp_path, max_loaded=1)
-        for _ in range(3):
-            catalog.publish("db1", built.stats)
-        pinned = catalog.pin("db1", 1)
-        catalog.load("db1", 2)
-        catalog.load("db1", 3)
-        assert ("db1", 1) in catalog.loaded_versions()
-        assert catalog.load("db1", 1) is pinned
-        catalog.unpin("db1", 1)
-        catalog.load("db1", 2)
-        assert ("db1", 1) not in catalog.loaded_versions()
-
-    def test_pin_never_evicts_its_own_version(self, built, tmp_path):
-        """Regression: ``pin`` used to register the pin only *after*
-        ``load`` had inserted (and possibly evicted!) the version — when
-        every older cache entry was pinned, the eviction pass removed the
-        version being pinned, stranding a pinned-but-unloaded entry that
-        later loads re-read from disk."""
-        catalog = StatsCatalog(tmp_path, max_loaded=1)
-        for _ in range(3):
-            catalog.publish("db1", built.stats)
-        first = catalog.pin("db1", 1)   # fills the cache, pinned
-        second = catalog.pin("db1", 2)  # over capacity: must not evict v2 itself
-        assert ("db1", 1) in catalog.loaded_versions()
-        assert ("db1", 2) in catalog.loaded_versions()
-        # Both pinned versions stay cached (identity, not a disk re-read).
-        assert catalog.load("db1", 1) is first
-        assert catalog.load("db1", 2) is second
-        # Unpinning drains the over-capacity cache back below the limit.
-        catalog.unpin("db1", 1)
-        catalog.unpin("db1", 2)
-        assert len(catalog.loaded_versions()) <= catalog.max_loaded
-        assert catalog._pins == {}
-
-    def test_pin_unpin_evict_interleavings(self, built, tmp_path):
-        """The cache invariant — ``len(loaded) <= max_loaded + #pinned`` —
-        holds across arbitrary pin/load/unpin interleavings, and unpinned
-        versions never linger past ``max_loaded`` after the next evict."""
-        catalog = StatsCatalog(tmp_path, max_loaded=2)
-        for _ in range(5):
-            catalog.publish("db1", built.stats)
-
-        def check():
-            assert len(catalog.loaded_versions()) <= catalog.max_loaded + len(
-                catalog._pins
-            )
-
-        catalog.pin("db1", 1); check()
-        catalog.load("db1", 2); check()
-        catalog.load("db1", 3); check()
-        catalog.pin("db1", 4); check()
-        catalog.pin("db1", 4); check()  # second pin of the same version
-        catalog.load("db1", 5); check()
-        catalog.unpin("db1", 4); check()
-        assert ("db1", 4) in catalog.loaded_versions()  # still pinned once
-        catalog.unpin("db1", 4); check()
-        catalog.unpin("db1", 1); check()
-        assert len(catalog.loaded_versions()) <= catalog.max_loaded
-        assert catalog._pins == {}
-
-    def test_pin_missing_version_leaves_no_pin(self, built, tmp_path):
-        catalog = StatsCatalog(tmp_path)
-        catalog.publish("db1", built.stats)
-        with pytest.raises(LookupError):
-            catalog.pin("db1", 42)
-        assert catalog._pins == {}
+        first = catalog.load("db1", 1)
+        second = catalog.load("db1", 1)
+        assert first is not second
+        assert first.relations["fact"] is not second.relations["fact"]
+        padded = SafeBound(built.config)
+        padded.stats = first
+        padded.apply_insert("fact", {
+            "id": np.arange(700000, 700050),
+            "dim_id": np.arange(50) % 7,
+            "score": np.zeros(50, dtype=np.int64),
+            "tag": np.zeros(50, dtype=np.int64),
+        })
+        assert first.relations["fact"].pending_inserts == 50
+        assert second.relations["fact"].pending_inserts == 0
+        untouched = SafeBound(built.config)
+        untouched.stats = second
+        for q in _queries():
+            assert untouched.bound(q) == built.bound(q)
 
 
 class TestCatalogBackedSafeBound:
@@ -287,7 +228,7 @@ class TestCatalogBackedSafeBound:
             swapped = estimator.estimate_batch(_queries())
         assert registry.snapshot().get("skeleton.compiles", 0) == 0
         fresh = SafeBound()
-        fresh.stats = catalog.load("tiny", 2, fresh=True)
+        fresh.stats = catalog.load("tiny", 2)
         assert swapped == fresh.estimate_batch(_queries())
 
     def test_refresh_rejects_truncated_archive(self, tiny_db, built, tmp_path):
@@ -308,9 +249,9 @@ class TestCatalogBackedSafeBound:
         assert estimator.estimate_batch(_queries()) == before
 
     def test_refresh_serves_private_copy(self, tiny_db, tmp_path):
-        """Regression: the estimator used to serve (and mutate!) the
-        catalog's shared cached stats — its apply_insert would alias into
-        every other reader of that published version."""
+        """The estimator serves (and mutates) its own copy: its
+        apply_insert never reaches another reader of that published
+        version."""
         import numpy as np
 
         catalog = StatsCatalog(tmp_path)
@@ -332,11 +273,10 @@ class TestCatalogBackedSafeBound:
         assert estimator._current().stats.relations["fact"].pending_inserts == 50
 
     def test_concurrent_refresh_leaks_nothing(self, tiny_db, built, tmp_path):
-        """Racing refreshes must neither leak pins nor leave a stale
-        version being served."""
+        """Racing refreshes must leave the latest version served."""
         import threading
 
-        catalog = StatsCatalog(tmp_path, max_loaded=1)
+        catalog = StatsCatalog(tmp_path)
         estimator = CatalogBackedSafeBound(catalog, "tiny")
         estimator.build(tiny_db)
         catalog.publish("tiny", built.stats)
@@ -352,8 +292,7 @@ class TestCatalogBackedSafeBound:
         for t in threads:
             t.join()
         assert estimator.version == 2
-        assert catalog._pins == {}  # the estimator owns private copies
-        assert len(catalog.loaded_versions()) <= catalog.max_loaded
+        assert estimator.estimate_batch(_queries()) == [built.bound(q) for q in _queries()]
 
     def test_refresh_attaches_tracking_even_when_version_current(self, tiny_db, tmp_path):
         """Regression: when the server's trackerless poll wins the swap

@@ -1,116 +1,13 @@
-"""Tests for serving-side observability (service/metrics.py) and the
-``python -m repro.service`` CLI entry point — argument handling, exit
-codes, and the shape of the JSON report."""
+"""Tests for the ``python -m repro.service`` CLI entry point — argument
+handling, exit codes, and the shape of the JSON report."""
 
 from __future__ import annotations
 
 import json
-import math
-import threading
 
-import numpy as np
 import pytest
 
 from repro.service.__main__ import build_demo_database, demo_queries, main
-from repro.service.metrics import LatencyRecorder, ServerMetrics
-
-
-class TestLatencyRecorder:
-    def test_empty_summary_is_nan(self):
-        summary = LatencyRecorder().summary()
-        assert summary["count"] == 0
-        for key in ("mean", "p50", "p95", "p99", "max"):
-            assert math.isnan(summary[key])
-
-    def test_summary_percentiles(self):
-        recorder = LatencyRecorder()
-        for ms in range(1, 101):
-            recorder.record(ms / 1000.0)
-        summary = recorder.summary()
-        assert summary["count"] == 100
-        assert summary["max"] == pytest.approx(0.100)
-        assert summary["p50"] == pytest.approx(np.quantile(np.arange(1, 101) / 1000.0, 0.5))
-        assert summary["p95"] >= summary["p50"] >= summary["mean"] * 0.5
-
-    def test_reservoir_is_bounded_but_count_is_not(self):
-        recorder = LatencyRecorder(capacity=10)
-        for _ in range(25):
-            recorder.record(0.001)
-        summary = recorder.summary()
-        assert summary["count"] == 25
-        assert summary["window"] == 10
-        assert len(recorder._samples) == 10
-
-    def test_window_tracks_percentile_population(self):
-        """``count`` is lifetime, ``window`` is what the percentiles are
-        computed over: old samples beyond the reservoir must not shift
-        them."""
-        recorder = LatencyRecorder(capacity=4)
-        for _ in range(100):
-            recorder.record(1000.0)  # ancient outliers, all evicted
-        for value in (0.001, 0.002, 0.003, 0.004):
-            recorder.record(value)
-        summary = recorder.summary()
-        assert summary["count"] == 104
-        assert summary["window"] == 4
-        assert summary["max"] == pytest.approx(0.004)
-        assert summary["p99"] <= 0.004
-
-    def test_empty_summary_keeps_lifetime_count(self):
-        recorder = LatencyRecorder(capacity=4)
-        summary = recorder.summary()
-        assert summary["count"] == 0 and summary["window"] == 0
-
-    def test_concurrent_recording(self):
-        recorder = LatencyRecorder()
-
-        def hammer():
-            for _ in range(500):
-                recorder.record(0.002)
-
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert recorder.summary()["count"] == 2000
-
-
-class TestServerMetrics:
-    def test_counters_accumulate(self):
-        metrics = ServerMetrics()
-        metrics.record_accepted()
-        metrics.record_accepted()
-        metrics.record_rejected()
-        metrics.record_batch(3)
-        metrics.record_batch(5)
-        metrics.record_completed(7)
-        metrics.record_failed()
-        metrics.record_swap()
-        snap = metrics.snapshot()
-        assert snap["accepted"] == 2
-        assert snap["rejected"] == 1
-        assert snap["batches"] == 2
-        assert snap["batched_requests"] == 8
-        assert snap["max_batch"] == 5
-        assert snap["completed"] == 7
-        assert snap["failed"] == 1
-        assert snap["swaps"] == 1
-        assert snap["mean_batch_size"] == pytest.approx(4.0)
-        assert metrics.mean_batch_size == pytest.approx(4.0)
-
-    def test_mean_batch_size_with_no_batches(self):
-        assert ServerMetrics().mean_batch_size == 0.0
-        assert ServerMetrics().snapshot()["mean_batch_size"] == 0.0
-
-    def test_snapshot_is_json_serialisable(self):
-        metrics = ServerMetrics()
-        metrics.record_batch(2)
-        metrics.queue_latency.record(0.001)
-        metrics.request_latency.record(0.004)
-        encoded = json.dumps(metrics.snapshot())
-        decoded = json.loads(encoded)
-        assert decoded["request_latency"]["count"] == 1
 
 
 class TestServiceCli:
@@ -150,6 +47,6 @@ class TestServiceCli:
         assert report["catalog_versions"][0] == "v000001"
         assert report["ingest"]["inserted_rows"] == 2000
         assert report["ingest"]["deleted_rows"] == 500
-        assert "p99" in report["metrics"]["request_latency"]
+        assert "p99" in report["metrics"]["server.request_seconds"]
         # The catalog directory was really populated on disk.
         assert (tmp_path / "catalog" / "demo" / "MANIFEST.json").exists()

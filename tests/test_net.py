@@ -248,8 +248,9 @@ class TestNetServer:
             assert health["status"] == "ok"
             assert isinstance(health["pid"], int)
             metrics = client.metrics()
-            assert metrics["accepted"] >= 1
-            assert "request_latency" in metrics
+            assert metrics["server.accepted"] >= 1
+            assert metrics["server.request_seconds"]["count"] >= 1
+            assert metrics["health"]["status"] == "ok"
 
     def test_unknown_op_answered_without_closing(self, built, net):
         with NetClient(*net.address) as client:
@@ -452,7 +453,7 @@ class TestResponsePath:
             def boom():
                 raise RuntimeError("snapshot exploded")
 
-            monkeypatch.setattr(server.metrics, "snapshot", boom)
+            monkeypatch.setattr(server, "metrics_snapshot", boom)
             with NetClient(*net.address) as client:
                 with pytest.raises(NetRequestError) as info:
                     client.metrics()
@@ -485,7 +486,7 @@ class TestResponsePath:
             monkeypatch.undo()
             # The listener and fresh connections are unaffected.
             with NetClient(*net.address) as client:
-                assert "request_latency" in client.metrics()
+                assert "server.accepted" in client.metrics()
 
 
 class _InfiniteEstimator:
@@ -502,14 +503,68 @@ class TestNonFiniteOverTheWire:
                     assert client.bound_batch(_queries()[:2]) == [float("inf")] * 2
 
     def test_idle_metrics_cross_the_wire(self, built):
-        """An idle server's latency summaries are all-NaN; the metrics
-        verb must still produce a strict-JSON frame the client can read."""
+        """An idle server's snapshot — zero counters, no histogram yet —
+        still crosses the wire as a strict-JSON frame the client reads
+        back unchanged."""
         with EstimationServer(built) as server:
             with NetServer(server) as net:
                 with NetClient(*net.address) as client:
                     metrics = client.metrics()
-        assert metrics["request_latency"]["count"] == 0
-        assert metrics["request_latency"]["p99"] == "NaN"
+                    expected = server.metrics_snapshot()
+        assert metrics["server.accepted"] == metrics["server.completed"] == 0
+        assert "server.request_seconds" not in metrics
+        assert metrics["health"]["status"] == "ok"
+        assert json.loads(json.dumps(metrics, allow_nan=False)) == metrics
+        assert set(metrics) == set(expected)
+
+
+class _FailOnceEstimator:
+    """Answers every query with 1.0, except the first batch after
+    ``fail_next`` is set, which raises."""
+
+    def __init__(self) -> None:
+        self.fail_next = False
+
+    def estimate_batch(self, queries):
+        if self.fail_next:
+            self.fail_next = False
+            raise RuntimeError("injected estimator failure")
+        return [1.0] * len(queries)
+
+
+class TestClientCheck:
+    """``python -m repro.service client --check`` exits 1 when the server
+    reports a failed request, even if every request of its own load
+    succeeded: ``server.failed`` in the metrics verb is then the only
+    signal."""
+
+    def _check(self, net) -> int:
+        from repro.service.__main__ import client
+
+        host, port = net.address
+        return client([
+            "--host", host, "--port", str(port), "--requests", "12",
+            "--processes", "1", "--concurrency", "2", "--timeout", "30",
+            "--check",
+        ])
+
+    def test_check_passes_on_a_healthy_server(self, capsys):
+        with EstimationServer(_FailOnceEstimator()) as server:
+            with NetServer(server) as net:
+                assert self._check(net) == 0
+        assert "check ok" in capsys.readouterr().err
+
+    def test_check_fails_when_the_server_failed_a_request(self, capsys):
+        estimator = _FailOnceEstimator()
+        with EstimationServer(estimator) as server:
+            with NetServer(server) as net:
+                estimator.fail_next = True
+                with pytest.raises(RuntimeError, match="injected"):
+                    server.bound(_queries()[0], timeout=10.0)
+                assert self._check(net) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["errors"] == {}
+        assert "server failed 1 requests" in captured.err
 
 
 def _make_mutable_db(seed: int = 11, n_dim: int = 120, n_fact: int = 1500) -> Database:
@@ -612,7 +667,7 @@ class TestCrossProcessHotSwap:
             # the other.
             assert load_report["errors"] == {}
             assert load_report["completed"] == 600
-            assert server.metrics.failed == 0
+            assert server.metrics.value("server.failed") == 0
 
     def test_insert_is_padded_before_republish(self, tmp_path):
         """An insert pads the served statistics in place before its rows
@@ -680,5 +735,5 @@ class TestCrossProcessHotSwap:
                     ):
                         time.sleep(0.01)
                     assert client.health()["version"] == 2
-        assert server.metrics.accepted == 0
-        assert server.metrics.swaps == 1
+        assert server.metrics.value("server.accepted") == 0
+        assert server.metrics.value("server.swaps") == 1

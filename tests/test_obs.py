@@ -12,11 +12,14 @@ from __future__ import annotations
 import io
 import json
 import os
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from kernel_oracle import array_side
 
 from repro.core.safebound import SafeBound
@@ -39,6 +42,7 @@ from repro.obs import (
     uninstall_tracer,
 )
 from repro.obs.explain import explain_bound, format_explain
+from repro.obs.metrics import HISTOGRAM_RATIO
 from repro.obs.profile import maybe_profile
 from repro.service.server import EstimationServer
 
@@ -229,21 +233,63 @@ class TestMetricsRegistry:
             uninstall_metrics()
 
     def test_concurrent_updates_from_threads(self):
+        """8 threads x 1000 inc/observe pairs lose no update."""
         registry = MetricsRegistry()
+        barrier = threading.Barrier(8)
 
-        def hammer():
-            for _ in range(500):
+        def hammer(worker):
+            barrier.wait()
+            for _ in range(1000):
                 registry.inc("n")
-                registry.observe("lat", 0.001)
+                registry.observe("lat", (worker + 1) * 1e-3)
 
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-update as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         snap = registry.snapshot()
-        assert snap["n"] == 2000
-        assert snap["lat"]["count"] == 2000
+        assert snap["n"] == registry.value("n") == 8000
+        assert snap["lat"]["count"] == 8000
+        assert snap["lat"]["sum"] == pytest.approx(1000 * sum(range(1, 9)) * 1e-3)
+        assert snap["lat"]["max"] == 8e-3
+        assert registry.update_ops == 16000
+
+    @given(st.lists(st.floats(min_value=-6.0, max_value=2.0), min_size=1, max_size=400))
+    def test_histogram_quantiles_within_bucket_ratio(self, exponents):
+        """For samples log-uniform in [1 us, 100 s], each reported
+        quantile lies between the exact inverted-CDF quantile and that
+        quantile times HISTOGRAM_RATIO; count, sum and max are exact."""
+        samples = [10.0 ** e for e in exponents]
+        registry = MetricsRegistry()
+        total = 0.0
+        for value in samples:
+            registry.observe("lat", value)
+            total += value
+        hist = registry.snapshot()["lat"]
+        assert hist["count"] == len(samples)
+        assert hist["sum"] == total
+        assert hist["max"] == max(samples)
+        assert HISTOGRAM_RATIO <= 1.1
+        for q in (0.50, 0.95, 0.99):
+            exact = float(np.quantile(samples, q, method="inverted_cdf"))
+            reported = hist[f"p{int(q * 100)}"]
+            # The slack covers the rounding of the bucket bounds only.
+            assert exact <= reported <= exact * HISTOGRAM_RATIO * (1 + 1e-12)
+
+    def test_histogram_outside_bucket_range(self):
+        registry = MetricsRegistry()
+        registry.observe("tiny", 1e-9)
+        registry.observe("huge", 5e4)
+        snap = registry.snapshot()
+        assert snap["tiny"]["p50"] == 1e-9  # capped by the exact max
+        assert snap["huge"]["p99"] == 5e4   # above the top bound: the max
 
 
 # ----------------------------------------------------------------------
@@ -330,16 +376,19 @@ class TestInstrumentedPipeline:
 # ----------------------------------------------------------------------
 class TestServerObservability:
     def test_single_process_snapshot_sources(self, built):
-        with metrics_installed():
+        with metrics_installed() as registry:
             with EstimationServer(built, max_batch=8) as server:
                 for q in _queries()[:4]:
                     server.bound(q)
-            snap = server.metrics.snapshot()
-        assert snap["completed"] == 4
-        assert "conditioning_cache" in snap
-        assert snap["observability"]["server.requests"] >= 4
-        assert snap["observability"]["conditioning.lookups"] > 0
-        assert "window" in snap["request_latency"]
+            snap = server.metrics_snapshot()
+        # One flat dict: the server's own metrics beside the installed
+        # registry's engine counters, which carry no server.* writes.
+        assert snap["server.completed"] == 4
+        assert snap["server.request_seconds"]["count"] == 4
+        assert snap["conditioning.lookups"] > 0
+        assert "conditioning_cache" in snap and "health" in snap
+        assert "observability" not in snap
+        assert not any(name.startswith("server.") for name in registry.snapshot())
 
     def test_json_log_records_failures(self, tiny_db):
         class Failing:
@@ -386,7 +435,7 @@ class TestServerObservability:
                 time.sleep(0.02)
         assert path.exists()
         doc = json.loads(path.read_text())
-        assert doc["completed"] >= 0 and "request_latency" in doc
+        assert doc["server.completed"] >= 0 and "health" in doc
 
     def test_snapshot_stable_across_hot_swap(self, built):
         """A hot statistics swap mid-run must not corrupt snapshots: the
@@ -418,17 +467,17 @@ class TestServerObservability:
         swappable = Swappable(built)
         queries = _queries()
         with EstimationServer(swappable, refresh_seconds=0.0) as server:
-            before = server.metrics.snapshot()
+            before = server.metrics_snapshot()
             server.bound(queries[0])
             swappable.swap_next = True
             server.bound(queries[1])
             server.bound(queries[2])
-            after = server.metrics.snapshot()
+            after = server.metrics_snapshot()
         assert swappable.swaps == 1
-        assert server.metrics.swaps == 1
+        assert server.metrics.value("server.swaps") == 1
         for snap in (before, after):
             json.dumps(snap)  # fully serialisable
             assert "conditioning_cache" in snap
-        assert after["completed"] == 3
+        assert after["server.completed"] == 3
         # Counters are monotone across the swap.
-        assert after["accepted"] >= before["accepted"]
+        assert after["server.accepted"] >= before["server.accepted"]

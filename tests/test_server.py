@@ -10,7 +10,6 @@ import pytest
 from repro.core.predicates import Eq, Range
 from repro.core.safebound import SafeBound
 from repro.db.query import Query
-from repro.service.metrics import LatencyRecorder, ServerMetrics
 from repro.service.server import EstimationServer, ServerOverloadedError, generate_load
 
 
@@ -120,9 +119,11 @@ class TestMicroBatching:
         with EstimationServer(slow, max_batch=64) as server:
             report = generate_load(server, queries, num_requests=96, concurrency=12)
         metrics = report["metrics"]
-        assert metrics["batches"] < metrics["accepted"]
-        assert metrics["mean_batch_size"] > 1.5
-        assert metrics["max_batch"] > 1
+        batch_size = metrics["server.batch_size"]
+        assert batch_size["count"] < metrics["server.accepted"]
+        assert batch_size["sum"] == metrics["server.accepted"]
+        assert batch_size["mean"] > 1.5
+        assert batch_size["max"] > 1
 
     def test_single_request_sync_api(self, built):
         query = _queries()[0]
@@ -231,7 +232,7 @@ class TestBatchByArrival:
         with EstimationServer(_RecordingEstimator()) as server:
             for _ in range(50):
                 assert server.bound(query, timeout=5.0) == 1.0
-        assert server.metrics.queue_latency.summary()["p50"] < 1e-3
+        assert server.metrics.snapshot()["server.queue_seconds"]["p50"] < 1e-3
 
     @pytest.mark.parametrize("refreshing", [False, True])
     def test_idle_stop_returns_promptly(self, built, refreshing):
@@ -264,7 +265,7 @@ class TestBatchByArrival:
         assert first.result(timeout=1.0) == built.bound(queries[0])
         for q, future in zip(queries, backlog):
             assert future.result(timeout=1.0) == built.bound(q)
-        assert server.metrics.completed == len(queries) + 1
+        assert server.metrics.value("server.completed") == len(queries) + 1
 
     def test_stop_timeout_keeps_reporting_live(self, built):
         """A join that times out must not report the server stopped while
@@ -350,9 +351,9 @@ class TestAdmissionControl:
             with pytest.raises(ValueError, match="boom"):
                 future.result(timeout=5.0)
             deadline = time.monotonic() + 2.0
-            while server.metrics.failed < 1 and time.monotonic() < deadline:
+            while server.metrics.value("server.failed") < 1 and time.monotonic() < deadline:
                 time.sleep(0.001)
-            assert server.metrics.failed == 1
+            assert server.metrics.value("server.failed") == 1
 
     def test_mismatched_estimate_count_fails_batch_loudly(self, built):
         """The count guard: an estimator returning one estimate too few
@@ -379,13 +380,13 @@ class TestAdmissionControl:
                     future.result(timeout=5.0)
             # _fail_batch resolves the futures before it counts them.
             deadline = time.monotonic() + 2.0
-            while server.metrics.failed < len(queries) and time.monotonic() < deadline:
+            while server.metrics.value("server.failed") < len(queries) and time.monotonic() < deadline:
                 time.sleep(0.001)
-            assert server.metrics.failed == len(queries)
-            assert server.metrics.completed == 0
+            assert server.metrics.value("server.failed") == len(queries)
+            assert server.metrics.value("server.completed") == 0
             stub.short = False
             assert server.bound(queries[0], timeout=5.0) == built.bound(queries[0])
-        assert server.metrics.completed == 1
+        assert server.metrics.value("server.completed") == 1
 
     def test_generate_load_survives_failing_requests(self):
         """Regression: a failed future used to kill its client thread,
@@ -409,7 +410,7 @@ class TestHotSwap:
             server.bound(query)
             server.bound(query)
         assert swappable.refreshes >= 2
-        assert server.metrics.swaps == 1
+        assert server.metrics.value("server.swaps") == 1
 
     def test_refresh_polled_while_idle(self, built):
         """The batching thread wakes for refresh polls with no traffic, so
@@ -421,8 +422,8 @@ class TestHotSwap:
             while swappable.refreshes < 3 and time.monotonic() < deadline:
                 time.sleep(0.005)
             assert swappable.refreshes >= 3
-            assert server.metrics.swaps == 1
-        assert server.metrics.accepted == 0
+            assert server.metrics.value("server.swaps") == 1
+        assert server.metrics.value("server.accepted") == 0
 
     def test_refresh_failure_does_not_kill_worker(self, built):
         """Regression: an exception out of refresh() used to terminate the
@@ -440,48 +441,55 @@ class TestHotSwap:
             # The poll after the first batch raised; serving must continue.
             assert server.bound(query, timeout=5.0) == built.bound(query)
             assert isinstance(server.last_refresh_error, OSError)
-        assert server.metrics.failed == 0
+        assert server.metrics.value("server.failed") == 0
 
 
 class TestMetrics:
-    def test_latency_recorder_percentiles_ordered(self):
-        recorder = LatencyRecorder()
-        for ms in range(1, 101):
-            recorder.record(ms / 1000.0)
-        summary = recorder.summary()
-        assert summary["count"] == 100
-        assert summary["p50"] <= summary["p95"] <= summary["p99"] <= summary["max"]
-        assert summary["p50"] == pytest.approx(0.0505, rel=0.05)
+    def test_latency_percentiles_ordered(self, built):
+        queries = _queries()
+        with EstimationServer(built) as server:
+            report = generate_load(server, queries, num_requests=100, concurrency=4)
+        metrics = report["metrics"]
+        for name in ("server.queue_seconds", "server.request_seconds"):
+            summary = metrics[name]
+            assert summary["count"] == 100
+            assert 0 < summary["p50"] <= summary["p95"] <= summary["p99"] <= summary["max"]
+        assert metrics["server.batch_seconds"]["count"] == metrics["server.batch_size"]["count"]
+        assert metrics["server.request_seconds"]["max"] >= metrics["server.queue_seconds"]["max"]
 
-    def test_empty_recorder_summary(self):
-        summary = LatencyRecorder().summary()
-        assert summary["count"] == 0
-        assert summary["p99"] != summary["p99"]  # NaN
+    def test_idle_server_counters_are_zero(self, built):
+        server = EstimationServer(built)
+        snapshot = server.metrics_snapshot()
+        for name in ("accepted", "rejected", "completed", "failed", "swaps"):
+            assert snapshot[f"server.{name}"] == 0
+        assert server.metrics.rejected == 0
+        assert "server.request_seconds" not in snapshot  # nothing observed yet
+        assert snapshot["health"]["status"] == "stopped"
+
+    def test_concurrent_counter_updates(self):
+        """8 client threads x 1000 requests: the server's accounting loses
+        no update."""
+        with EstimationServer(_RecordingEstimator(), max_queue=8000) as server:
+            report = generate_load(server, _queries(), num_requests=8000, concurrency=8)
+        assert report["completed"] == 8000
+        metrics = report["metrics"]
+        assert metrics["server.accepted"] == metrics["server.completed"] == 8000
+        assert metrics["server.request_seconds"]["count"] == 8000
+        assert metrics["server.queue_seconds"]["count"] == 8000
+        assert metrics["server.batch_size"]["sum"] == 8000
 
     def test_snapshot_is_json_friendly(self, built):
         import json
 
         with EstimationServer(built) as server:
             server.bound(_queries()[0])
-        snapshot = server.metrics.snapshot()
+        snapshot = server.metrics_snapshot()
         json.dumps(snapshot)
-        assert snapshot["accepted"] == 1
-        assert snapshot["completed"] == 1
-        assert snapshot["request_latency"]["count"] == 1
-
-    def test_concurrent_counter_updates(self):
-        metrics = ServerMetrics()
-
-        def bump():
-            for _ in range(1000):
-                metrics.record_accepted()
-                metrics.record_batch(2)
-
-        threads = [threading.Thread(target=bump) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert metrics.accepted == 8000
-        assert metrics.batches == 8000
-        assert metrics.batched_requests == 16000
+        assert snapshot["server.accepted"] == 1
+        assert snapshot["server.completed"] == 1
+        assert snapshot["server.request_seconds"]["count"] == 1
+        assert snapshot["server.batch_size"] == {
+            "count": 1, "sum": 1.0, "mean": 1.0, "max": 1.0,
+            "p50": 1.0, "p95": 1.0, "p99": 1.0,
+        }
+        assert "conditioning_cache" in snapshot and "health" in snapshot

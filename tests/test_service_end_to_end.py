@@ -56,10 +56,10 @@ def test_full_service_lifecycle(tmp_path):
         # --- serve >= 100 concurrent requests, bit-identical -------------
         report = generate_load(server, queries, num_requests=120, concurrency=12)
         assert report["rejections"] == 0
-        assert report["metrics"]["rejected"] == 0
+        assert report["metrics"]["server.rejected"] == 0
         for i, result in enumerate(report["results"]):
             assert result == direct[i % len(queries)]
-        assert report["metrics"]["mean_batch_size"] > 1.0  # batching happened
+        assert report["metrics"]["server.batch_size"]["mean"] > 1.0  # batching happened
 
         # --- live insert/delete stream, bounds stay valid -----------------
         worker.start()
@@ -102,13 +102,13 @@ def test_full_service_lifecycle(tmp_path):
         # The server keeps serving valid bounds from the fresh version.
         report2 = generate_load(server, queries, num_requests=60, concurrency=6)
         assert report2["rejections"] == 0
-        assert report2["metrics"]["rejected"] == 0
+        assert report2["metrics"]["server.rejected"] == 0
         executor = Executor(db)
         truths = [executor.cardinality(q) for q in queries]
         for i, result in enumerate(report2["results"]):
             assert result >= truths[i % len(queries)] * (1 - 1e-9)
 
-    assert server.metrics.failed == 0
+    assert server.metrics.value("server.failed") == 0
     assert [v.version for v in catalog.versions("e2e")] == list(
         range(1, new_version + 1)
     )
