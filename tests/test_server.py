@@ -10,6 +10,7 @@ import pytest
 from repro.core.predicates import Eq, Range
 from repro.core.safebound import SafeBound
 from repro.db.query import Query
+from repro.obs.metrics import MetricsRegistry
 from repro.service.server import EstimationServer, ServerOverloadedError, generate_load
 
 
@@ -463,8 +464,18 @@ class TestMetrics:
         for name in ("accepted", "rejected", "completed", "failed", "swaps"):
             assert snapshot[f"server.{name}"] == 0
         assert server.metrics.rejected == 0
-        assert "server.request_seconds" not in snapshot  # nothing observed yet
         assert snapshot["health"]["status"] == "stopped"
+
+    def test_empty_recorder_summary(self, built):
+        """A histogram is rendered only once something was observed: an
+        idle server reports no latency summary rather than a made-up one."""
+        server = EstimationServer(built)
+        server.start()
+        server.stop()
+        snapshot = server.metrics_snapshot()
+        for name in ("queue_seconds", "request_seconds", "batch_seconds", "batch_size"):
+            assert f"server.{name}" not in snapshot
+        assert MetricsRegistry().snapshot() == {}
 
     def test_concurrent_counter_updates(self):
         """8 client threads x 1000 requests: the server's accounting loses
