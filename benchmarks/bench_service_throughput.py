@@ -50,16 +50,17 @@ def test_service_throughput_vs_batch_size(served_workload, show):
     for max_batch in BATCH_SIZES:
         with EstimationServer(estimator, max_batch=max_batch, max_queue=4096) as server:
             report = generate_load(
-                server, queries, num_requests=NUM_REQUESTS, concurrency=CONCURRENCY
+                [server.bound] * CONCURRENCY, queries, num_requests=NUM_REQUESTS
             )
         for i, result in enumerate(report["results"]):
             assert result == direct[i % len(queries)]
-        latency = report["metrics"]["server.request_seconds"]
+        metrics = server.metrics_snapshot()
+        latency = metrics["server.request_seconds"]
         rows.append({
             "max_batch": max_batch,
             "nproc": os.cpu_count(),
             "qps": round(report["qps"], 1),
-            "batch_size_mean": round(report["metrics"]["server.batch_size"]["mean"], 2),
+            "batch_size_mean": round(metrics["server.batch_size"]["mean"], 2),
             "p50_ms": round(latency["p50"] * 1000.0, 3),
             "p99_ms": round(latency["p99"] * 1000.0, 3),
         })

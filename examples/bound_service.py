@@ -92,10 +92,11 @@ def main() -> None:
         # 2. Serve concurrent clients through micro-batches.
         server = EstimationServer(estimator, max_batch=32, refresh_db=db)
         with server:
-            report = generate_load(server, queries, num_requests=200, concurrency=8)
+            report = generate_load([server.bound] * 8, queries, num_requests=200)
+            metrics = server.metrics_snapshot()
             print(f"served {report['requests']} requests at {report['qps']:.0f} q/s, "
-                  f"mean batch {report['metrics']['server.batch_size']['mean']:.1f}, "
-                  f"p99 latency {report['metrics']['server.request_seconds']['p99'] * 1e3:.2f} ms")
+                  f"mean batch {metrics['server.batch_size']['mean']:.1f}, "
+                  f"p99 latency {metrics['server.request_seconds']['p99'] * 1e3:.2f} ms")
 
             # Micro-batched answers are bit-identical to direct calls.
             direct = [estimator.bound(q) for q in queries]
@@ -125,8 +126,8 @@ def main() -> None:
             # 4. Recompress-and-republish; the server hot-swaps mid-traffic.
             version = ingest.maybe_republish()
             assert version is not None, "staleness crossed the threshold"
-            report2 = generate_load(server, queries, num_requests=100, concurrency=4)
-            assert report2["metrics"]["server.rejected"] == 0
+            generate_load([server.bound] * 4, queries, num_requests=100)
+            assert server.metrics.rejected == 0
             print(f"republished {version.label}; server now serves "
                   f"version {estimator.version} (staleness {estimator.staleness() * 100:.1f}%), "
                   f"no rejected requests")

@@ -1,13 +1,13 @@
 """Network serving walkthrough: bounds over a socket, hot-swapped live.
 
-Extends the ``bound_service.py`` lifecycle across a process boundary:
+Extends the ``bound_service.py`` lifecycle across a socket:
 
 1. build + publish SafeBound statistics to a versioned catalog;
 2. put the socket front end (:class:`NetServer`, length-prefixed JSON
    frames) over the micro-batching estimation server;
-3. drive it from two separate *client processes* with
-   :func:`generate_load_net` — every request crosses the wire codec,
-   TCP, admission control, and micro-batching;
+3. drive it with :func:`generate_load` from client threads holding one
+   :class:`NetClient` connection each — every request crosses the wire
+   codec, TCP, admission control, and micro-batching;
 4. republish mid-traffic: the server hot-swaps to the new version, and
    requests submitted after the publish are served from it — zero
    failed requests throughout.
@@ -30,7 +30,8 @@ from repro.service import (
     NetServer,
     StatsCatalog,
     UpdateIngest,
-    generate_load_net,
+    connect_clients,
+    generate_load,
 )
 
 
@@ -90,10 +91,9 @@ def main() -> None:
             host, port = net.address
             print(f"serving on {host}:{port}")
 
-            # 3. Load from two separate client processes.
-            report = generate_load_net(
-                host, port, queries, 300, processes=2, concurrency=4
-            )
+            # 3. Load from eight socket clients, one thread each.
+            with connect_clients(host, port, 8) as clients:
+                report = generate_load([c.bound for c in clients], queries, 300)
             assert report["errors"] == {}, report["errors"]
             direct = [estimator.bound(q) for q in queries]
             assert all(
@@ -101,7 +101,7 @@ def main() -> None:
                 for i in range(report["requests"])
             ), "wire round trip must be bit-identical"
             print(f"served {report['completed']} requests from "
-                  f"{report['processes']} client processes at {report['qps']:.0f} q/s")
+                  f"{report['concurrency']} socket clients at {report['qps']:.0f} q/s")
 
             # 4. Republish mid-traffic; republish swaps the served version
             #    before it returns, so post-publish requests serve it.
@@ -114,7 +114,8 @@ def main() -> None:
                 "kind": rng.integers(0, 10, n),
             })
             version = ingest.republish()
-            post = generate_load_net(host, port, queries, 60, processes=2, concurrency=2)
+            with connect_clients(host, port, 4) as clients:
+                post = generate_load([c.bound for c in clients], queries, 60)
             assert post["errors"] == {}
 
             v2 = CatalogBackedSafeBound(catalog, "events_db")
@@ -131,7 +132,7 @@ def main() -> None:
                   f"{health['version']} generation {health['generation']}, "
                   f"0 failed requests")
 
-    print("\ncatalog -> socket -> client processes -> republish cycle complete.")
+    print("\ncatalog -> socket -> clients -> republish cycle complete.")
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ cycle the server hot-swaps), and prints a JSON metrics report.
 
 The ``serve`` subcommand runs the same stack behind the network tier
 (``service/net.py``): a socket server a separate ``client`` process
-drives — the cross-process twin of the in-process demo, with optional
-live ingest rounds republishing under load.  The ``client``
-subcommand is the matching multi-process load generator.
+drives, with optional live ingest rounds republishing under load.  The
+``client`` subcommand runs the same load generator as the in-process
+demo, one socket connection per client thread.
 
 The ``stats-info`` subcommand prints a published version's manifest —
 size on disk, array counts and content digest (the serving-side
@@ -371,12 +371,13 @@ def serve(argv: list[str]) -> int:
 
 
 def client(argv: list[str]) -> int:
-    """``client``: multi-process load generation against a ``serve``."""
-    from .net import NetClient, generate_load_net
+    """``client``: load generation against a ``serve`` over sockets."""
+    from .net import NetClient, RetryPolicy, connect_clients
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.service client",
-        description="Drive a 'serve' instance from separate client processes",
+        description="Drive a 'serve' instance from client threads, one "
+        "connection each",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=None)
@@ -385,8 +386,7 @@ def client(argv: list[str]) -> int:
         help="read host/port from a serve --ready-file (polls until it appears)",
     )
     parser.add_argument("--requests", type=int, default=500)
-    parser.add_argument("--processes", type=int, default=2)
-    parser.add_argument("--concurrency", type=int, default=4, help="threads per process")
+    parser.add_argument("--concurrency", type=int, default=8, help="client threads")
     parser.add_argument("--timeout", type=float, default=60.0)
     parser.add_argument(
         "--retry-deadline", type=float, default=None, metavar="SECONDS",
@@ -435,16 +435,13 @@ def client(argv: list[str]) -> int:
 
     retry = None
     if args.retry_deadline is not None:
-        from .net import RetryPolicy
-
         retry = RetryPolicy(deadline_seconds=args.retry_deadline, seed=0)
-    report = generate_load_net(
-        host, port, demo_queries(), args.requests,
-        processes=args.processes,
-        concurrency=args.concurrency,
-        timeout=args.timeout,
-        retry=retry,
-    )
+    with connect_clients(
+        host, port, args.concurrency, timeout=args.timeout, retry=retry
+    ) as clients:
+        report = generate_load(
+            [c.bound for c in clients], demo_queries(), args.requests
+        )
     report.pop("results")
     with NetClient(host, port, timeout=args.timeout) as probe:
         report["health"] = probe.health()
@@ -564,11 +561,12 @@ def main(argv: list[str] | None = None) -> int:
             for round_no in range(args.updates):
                 _ingest_round(ingest, db, rng, round_no)
             report = generate_load(
-                server, queries, args.requests, concurrency=args.concurrency
+                [server.bound] * args.concurrency, queries, args.requests
             )
             if worker is not None:
                 worker.stop()
         report.pop("results")
+        report["metrics"] = server.metrics_snapshot()
         report["catalog_versions"] = [v.label for v in catalog.versions("demo")]
         report["served_version"] = estimator.version
         report["staleness"] = round(estimator.staleness(), 4)

@@ -544,6 +544,9 @@ class CatalogBackedSafeBound(CardinalityEstimator):
         # version built before an insert already padded here: that swap
         # would drop the padding while the inserted rows stay visible.
         self.inserts_applied = 0
+        # Swaps ``refresh`` made, whoever called it (an
+        # ``EstimationServer`` reports them as ``server.swaps``).
+        self.swaps = 0
 
     # ------------------------------------------------------------------
     @property
@@ -628,6 +631,7 @@ class CatalogBackedSafeBound(CardinalityEstimator):
             with self._lock:
                 self._safebound = sb
                 self._version = latest.version
+            self.swaps += 1
             return True
 
     def generation(self) -> int:

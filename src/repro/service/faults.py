@@ -13,8 +13,7 @@ A :class:`FaultPlan` is a set of named **sites** (strings like
 arrival, fire n times, or fire with a seeded per-site probability — all
 deterministic, so a failing chaos seed replays exactly.  Installing a
 plan (:func:`install_faults` / the :func:`faults_installed` context
-manager) makes it the process-global plan; forked children (the
-load generator's client processes) inherit it.
+manager) makes it the process-global plan.
 
 Production code threads **site checks** through its fault points:
 
@@ -35,7 +34,6 @@ into the serving path costs nothing in production.
 from __future__ import annotations
 
 import contextlib
-import os
 import random
 import threading
 import time
@@ -196,27 +194,12 @@ class FaultPlan:
 _plan: FaultPlan | None = None
 
 
-def _reset_plan_lock_after_fork() -> None:
-    # A fork (e.g. the load generator's client processes) can happen
-    # while another thread is inside a site check holding the plan lock; the child would inherit
-    # it locked and deadlock on its first site.  Fresh lock per child —
-    # the counters are per-process anyway.
-    plan = _plan
-    if plan is not None:
-        plan._lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_reset_plan_lock_after_fork)
-
-
 def get_faults() -> FaultPlan | None:
     return _plan
 
 
 def install_faults(plan: FaultPlan) -> FaultPlan:
-    """Install ``plan`` process-wide.  Forked children (load-generator
-    processes) inherit the installed plan, each with its own copy of the
-    counters."""
+    """Install ``plan`` process-wide."""
     global _plan
     _plan = plan
     return plan

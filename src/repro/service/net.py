@@ -1,12 +1,9 @@
 """Network serving tier: a socket facade in front of :class:`EstimationServer`.
 
-``generate_load`` drives the micro-batching server from in-process
-threads, which measures the batching engine but not serving: no syscalls,
-no codec, no scheduler handoff between client and server processes.  This
-module puts a real wire between the two — a length-prefixed JSON protocol
-(``service/wire.py``) served by a thread-per-connection front end — so
-throughput numbers are end-to-end from separate client processes, the
-shape a "millions of users" claim actually requires.
+A length-prefixed JSON protocol (``service/wire.py``) served by a
+thread-per-connection front end puts a real wire — codec, syscalls,
+TCP — between clients and the micro-batching server, so a client may
+live in another process or on another machine.
 
 Verbs (the ``op`` field of each request frame):
 
@@ -28,20 +25,20 @@ Malformed input degrades per-connection: a bad frame gets a
 connection is closed; the listener and every other connection keep
 serving.
 
-:class:`NetClient` is the thin typed client; :func:`generate_load_net`
-forks real client *processes* around it — the network twin of
-``generate_load`` and what ``bench_net_throughput.py`` measures.
+:class:`NetClient` is the thin typed client.  :func:`connect_clients`
+opens one per thread of :func:`~repro.service.server.generate_load`,
+the load generator for both the in-process server and this tier.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import contextlib
 import os
 import random
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..db.query import Query
 from . import faults
@@ -64,7 +61,7 @@ __all__ = [
     "ConnectTimeoutError",
     "DeadlineExceededError",
     "RetryPolicy",
-    "generate_load_net",
+    "connect_clients",
 ]
 
 
@@ -628,187 +625,30 @@ class NetClient:
         return self._call({"op": "health"})
 
 
-# ----------------------------------------------------------------------
-# Multi-process load generation
-# ----------------------------------------------------------------------
-def _client_process(
+@contextlib.contextmanager
+def connect_clients(
     host: str,
     port: int,
-    wires: list[dict],
-    num_requests: int,
-    worker: int,
-    stride: int,
-    concurrency: int,
-    timeout: float,
-    retry_rejected: bool,
-    retry: RetryPolicy | None,
-    barrier,
-    out_queue,
-) -> None:
-    """One load-generating client process: ``concurrency`` threads, each
-    with its own connection, serving this process's slice of the global
-    request index space.
-
-    Two gates keep the parent's timed window honest: every thread
-    connects, then parks on ``connected`` (an in-process barrier) so the
-    main thread only reaches the cross-process ``barrier`` once all
-    connection setup — including slow in-thread connect retries — is
-    done; no thread issues a request until ``start`` is set, which
-    happens only after that global barrier trips.  So the window the
-    parent times contains all requests and none of the connect cost.
-    """
-    results: list[tuple[int, float | None, str | None]] = []
-    results_lock = threading.Lock()
-    rejections = [0] * concurrency
-    connected = threading.Barrier(concurrency + 1)
-    start = threading.Event()
-
-    def client_thread(thread_no: int) -> None:
-        client: NetClient | None = None
-        error: Exception | None = None
-        try:
-            # Derive a distinct deterministic jitter stream per thread so
-            # a seeded policy still de-phases the fleet's backoffs.
-            thread_retry = retry
-            if retry is not None and retry.seed is not None:
-                thread_retry = RetryPolicy(
-                    **{
-                        **retry.__dict__,
-                        "seed": retry.seed + worker * 1009 + thread_no,
-                    }
-                )
-            client = NetClient(host, port, timeout=timeout, retry=thread_retry)
-        except Exception as exc:
-            error = exc
-        finally:
-            connected.wait()
-        if client is None:
-            with results_lock:
-                for i in range(
-                    worker + thread_no * stride, num_requests, stride * concurrency
-                ):
-                    results.append((i, None, repr(error)))
-            return
-        start.wait()
-        with client:
-            for i in range(
-                worker + thread_no * stride, num_requests, stride * concurrency
-            ):
-                wire = wires[i % len(wires)]
-                try:
-                    while True:
-                        try:
-                            value = client.bound(wire)
-                            break
-                        except ServerOverloadedError:
-                            rejections[thread_no] += 1
-                            if not retry_rejected:
-                                value = None
-                                break
-                            time.sleep(0.001)
-                    with results_lock:
-                        results.append((i, value, None))
-                except Exception as exc:
-                    with results_lock:
-                        results.append((i, None, repr(exc)))
-
-    threads = [
-        threading.Thread(target=client_thread, args=(t,), daemon=True)
-        for t in range(concurrency)
-    ]
-    for t in threads:
-        t.start()
-    connected.wait()  # every thread holds a connection (or gave up)
-    barrier.wait()  # every process is connected; parent starts the clock
-    start.set()  # ... and only now may requests flow
-    for t in threads:
-        t.join()
-    out_queue.put((worker, results, int(sum(rejections))))
-
-
-def generate_load_net(
-    host: str,
-    port: int,
-    queries: list,
-    num_requests: int,
+    count: int,
     *,
-    processes: int = 2,
-    concurrency: int = 4,
-    timeout: float = 60.0,
-    retry_rejected: bool = True,
+    timeout: float = 30.0,
     retry: RetryPolicy | None = None,
-) -> dict:
-    """Drive a :class:`NetServer` with ``num_requests`` single-query
-    requests from ``processes`` separate client processes, each running
-    ``concurrency`` connection threads (round-robin over ``queries``).
+):
+    """``count`` connected :class:`NetClient` s, closed on exit — one per
+    client thread of :func:`~repro.service.server.generate_load`.
 
-    The report matches :func:`~repro.service.server.generate_load` —
-    results index-aligned with the request order, per-request errors, the
-    rejection count — so benchmarks can put the two side by side; the
-    difference is that every request here crossed a process boundary and
-    a socket.  Queries are pre-encoded to their wire form in the parent,
-    so child processes do no codec setup of their own.
+    Every client carries ``retry``; a seeded policy is re-seeded to
+    ``seed + i`` for client ``i``, so clients backing off together draw
+    different jitter and do not retry in phase.
     """
-    if processes < 1:
-        raise ValueError("processes must be >= 1")
-    ctx = multiprocessing.get_context("fork")
-    wires = [q if isinstance(q, dict) else query_to_wire(q) for q in queries]
-    # Threads from all processes form one global round-robin: request i
-    # goes to process (i mod processes), thread ((i // processes) mod
-    # concurrency) of it.
-    barrier = ctx.Barrier(processes + 1)
-    out_queue = ctx.Queue()
-    workers = [
-        ctx.Process(
-            target=_client_process,
-            args=(
-                host,
-                port,
-                wires,
-                num_requests,
-                p,
-                processes,
-                concurrency,
-                timeout,
-                retry_rejected,
-                retry,
-                barrier,
-                out_queue,
-            ),
-            daemon=True,
-        )
-        for p in range(processes)
-    ]
-    for w in workers:
-        w.start()
-    # Each child reaches this barrier only after all of its client
-    # threads hold a connection, and releases them into the request loop
-    # only after it trips — so the timed window starts after every
-    # connection is established and before any request is sent.
-    barrier.wait()
-    started = time.perf_counter()
-    results: list[float | None] = [None] * num_requests
-    errors: dict[int, str] = {}
-    rejections = 0
-    for _ in workers:
-        _worker, entries, rejected = out_queue.get(timeout=timeout + 60.0)
-        rejections += rejected
-        for index, value, error in entries:
-            results[index] = value
-            if error is not None:
-                errors[index] = error
-    elapsed = time.perf_counter() - started
-    for w in workers:
-        w.join(10.0)
-    completed = sum(r is not None for r in results)
-    return {
-        "requests": num_requests,
-        "completed": completed,
-        "processes": processes,
-        "concurrency": concurrency,
-        "seconds": elapsed,
-        "qps": completed / elapsed if elapsed > 0 else float("inf"),
-        "rejections": rejections,
-        "errors": dict(sorted(errors.items())),
-        "results": results,
-    }
+    clients: list[NetClient] = []
+    try:
+        for i in range(count):
+            policy = retry
+            if retry is not None and retry.seed is not None:
+                policy = replace(retry, seed=retry.seed + i)
+            clients.append(NetClient(host, port, timeout=timeout, retry=policy))
+        yield clients
+    finally:
+        for client in clients:
+            client.close()

@@ -35,6 +35,7 @@ import os
 import threading
 import time
 from collections import deque
+from collections.abc import Callable, Sequence
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
@@ -152,6 +153,8 @@ class EstimationServer:
         self._accepting = False
         self._stopping = False
         self._last_refresh = time.monotonic()
+        # The estimator's ``swaps`` already in ``server.swaps``.
+        self._swaps_counted = getattr(estimator, "swaps", 0)
         self.last_refresh_error: Exception | None = None
         # Degraded-mode threshold: this many *consecutive* refresh
         # failures flips health to "degraded" (serving continues on the
@@ -285,6 +288,7 @@ class EstimationServer:
                 self._serve_batch(batch)
             self._maybe_refresh()
             self._maybe_dump_metrics()
+        self._count_swaps()
         self._maybe_dump_metrics(force=True)
 
     def _idle_timeout(self) -> float | None:
@@ -416,12 +420,28 @@ class EstimationServer:
         except Exception as exc:
             self.last_refresh_error = exc
             self._consecutive_refresh_failures += 1
-            return
-        # One success heals degraded mode: clear the error and the streak.
-        self.last_refresh_error = None
-        self._consecutive_refresh_failures = 0
-        if swapped:
-            self.metrics.inc("server.swaps")
+            swapped = False
+        else:
+            # One success heals degraded mode: clear the error and the streak.
+            self.last_refresh_error = None
+            self._consecutive_refresh_failures = 0
+        self._count_swaps(swapped)
+
+    def _count_swaps(self, swapped: bool = False) -> None:
+        """Bring ``server.swaps`` up to date with the served estimator.
+
+        An estimator that counts its own swaps (``swaps``, e.g. a
+        ``CatalogBackedSafeBound``) may also be swapped by a caller other
+        than this poll — ``UpdateIngest.republish`` refreshes it directly
+        — so its count is the truth; otherwise ``swapped`` (what this
+        poll's ``refresh`` returned) is.
+        """
+        total = getattr(self.estimator, "swaps", None)
+        if total is None:
+            total = self._swaps_counted + bool(swapped)
+        if total != self._swaps_counted:
+            self.metrics.inc("server.swaps", total - self._swaps_counted)
+            self._swaps_counted = total
 
     # ------------------------------------------------------------------
     # Metrics and health
@@ -480,47 +500,47 @@ class EstimationServer:
 
 
 def generate_load(
-    server: EstimationServer,
-    queries: list[Query],
+    bounds: Sequence[Callable[[Query], float]],
+    queries: Sequence[Query],
     num_requests: int,
-    concurrency: int = 8,
-    timeout: float = 60.0,
-    retry_rejected: bool = True,
 ) -> dict:
-    """Drive ``server`` with ``num_requests`` single-query requests from
-    ``concurrency`` client threads (round-robin over ``queries``).
+    """Drive a bound service with ``num_requests`` single-query requests
+    (round-robin over ``queries``) from one client thread per callable in
+    ``bounds``.
 
-    Returns wall-clock throughput, the admission-rejection count, the
-    per-request results (index-aligned with the request order; ``None``
-    for a request that failed or was dropped), the per-request errors,
-    and the server's ``metrics_snapshot()``.  A failed request never
-    kills its client thread — the remaining requests still run.
+    Thread ``t`` sends requests ``t``, ``t + n``, ``t + 2n``, ... through
+    ``bounds[t]``: ``server.bound`` drives an :class:`EstimationServer`
+    in process, and one :class:`~repro.service.net.NetClient` per thread
+    (:func:`~repro.service.net.connect_clients`) drives it over a socket.
+    An overloaded request is counted in ``rejections`` and resent after
+    the server's ``retry_after_ms`` hint (0.5 ms when it gives none).
+
+    Returns wall-clock throughput, the rejection count, the per-request
+    results (index-aligned with the request order; ``None`` for a
+    request that failed) and the per-request errors.  A failed request
+    never kills its client thread — the remaining requests still run.
     """
+    concurrency = len(bounds)
     results: list[float | None] = [None] * num_requests
-    errors: dict[int, Exception] = {}
-    errors_lock = threading.Lock()
+    errors: list[str | None] = [None] * num_requests
     rejections = [0] * concurrency
     barrier = threading.Barrier(concurrency + 1)
 
     def client(worker: int) -> None:
+        bound = bounds[worker]
         barrier.wait()
         for i in range(worker, num_requests, concurrency):
-            try:
-                while True:
-                    try:
-                        future = server.submit(queries[i % len(queries)])
-                        break
-                    except ServerOverloadedError:
-                        rejections[worker] += 1
-                        if not retry_rejected:
-                            future = None
-                            break
-                        time.sleep(0.0005)
-                if future is not None:
-                    results[i] = future.result(timeout)
-            except Exception as exc:
-                with errors_lock:
-                    errors[i] = exc
+            query = queries[i % len(queries)]
+            while True:
+                try:
+                    results[i] = bound(query)
+                except ServerOverloadedError as exc:
+                    rejections[worker] += 1
+                    time.sleep((exc.retry_after_ms or 0.5) / 1000.0)
+                    continue
+                except Exception as exc:
+                    errors[i] = repr(exc)
+                break
 
     threads = [
         threading.Thread(target=client, args=(w,), daemon=True)
@@ -540,8 +560,7 @@ def generate_load(
         "concurrency": concurrency,
         "seconds": elapsed,
         "qps": completed / elapsed if elapsed > 0 else float("inf"),
-        "rejections": int(sum(rejections)),
-        "errors": {i: repr(exc) for i, exc in sorted(errors.items())},
+        "rejections": sum(rejections),
+        "errors": {i: e for i, e in enumerate(errors) if e is not None},
         "results": results,
-        "metrics": server.metrics_snapshot(),
     }

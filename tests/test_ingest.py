@@ -15,6 +15,7 @@ from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.service.catalog import CatalogBackedSafeBound, StatsCatalog
 from repro.service.ingest import RepublishWorker, UpdateIngest, append_rows, remove_rows
+from repro.service.server import EstimationServer
 
 
 def make_db(seed: int = 11, n_dim: int = 150, n_fact: int = 2500) -> Database:
@@ -253,6 +254,24 @@ class TestRepublish:
         assert_bounds_dominate(estimator, db, make_queries())
         # Below threshold now: no further republish.
         assert ingest.maybe_republish() is None
+
+    def test_republish_under_a_running_server_counts_one_swap(self, tmp_path):
+        """Regression: ``republish`` swaps through ``estimator.refresh``
+        itself, so the server's next poll found the version current and
+        ``server.swaps`` stayed 0 after a republish.  The server's own
+        poll is pushed out of the test's window, so the republish is the
+        only swap and the count cannot come from a racing poll."""
+        db = make_db()
+        catalog, estimator = self._catalog_pair(tmp_path, db)
+        ingest = UpdateIngest(db, estimator)
+        server = EstimationServer(estimator, refresh_seconds=3600.0, refresh_db=db)
+        with server:
+            server.bound(make_queries()[0])
+            ingest.republish()
+            server.bound(make_queries()[0])
+        assert ingest.republishes == 1
+        assert estimator.version == 2
+        assert server.metrics.value("server.swaps") == 1
 
     def test_refresh_skips_version_built_before_a_padded_insert(self, tmp_path):
         """Regression: a version built before an insert (a republish that

@@ -3,8 +3,8 @@
 Covers the wire codec (bit-identical bounds through a JSON round trip),
 the socket front end (concurrent clients, typed overload responses,
 malformed-frame resilience, health/metrics verbs, prompt stop), the
-multi-process load generator, and the hot-swap acceptance path: a
-catalog publish under load from client processes is served from the new
+load generator over sockets, and the hot-swap acceptance path: a
+catalog publish under load from socket clients is served from the new
 version with zero failed or dropped requests, and an insert is padded
 into the served statistics before any republish.
 """
@@ -30,8 +30,8 @@ from repro.db.schema import Schema
 from repro.db.table import Table
 from repro.service.catalog import CatalogBackedSafeBound, StatsCatalog
 from repro.service.ingest import UpdateIngest
-from repro.service.net import NetClient, NetRequestError, NetServer, generate_load_net
-from repro.service.server import EstimationServer, ServerOverloadedError
+from repro.service.net import NetClient, NetRequestError, NetServer, connect_clients
+from repro.service.server import EstimationServer, ServerOverloadedError, generate_load
 from repro.service.wire import (
     FrameError,
     query_from_wire,
@@ -292,12 +292,11 @@ class TestNetServer:
     def test_concurrent_clients_bit_identical(self, built, net):
         queries = _queries()
         direct = [built.bound(q) for q in queries]
-        report = generate_load_net(
-            *net.address, queries, 60, processes=2, concurrency=3
-        )
+        with connect_clients(*net.address, 6) as clients:
+            report = generate_load([c.bound for c in clients], queries, 60)
         assert report["errors"] == {}
         assert report["completed"] == 60
-        assert report["processes"] == 2
+        assert report["concurrency"] == 6
         for i, result in enumerate(report["results"]):
             assert result == direct[i % len(queries)]
 
@@ -544,7 +543,7 @@ class TestClientCheck:
         host, port = net.address
         return client([
             "--host", host, "--port", str(port), "--requests", "12",
-            "--processes", "1", "--concurrency", "2", "--timeout", "30",
+            "--concurrency", "2", "--timeout", "30",
             "--check",
         ])
 
@@ -603,8 +602,8 @@ def _star_queries() -> list[Query]:
 
 
 class TestCrossProcessHotSwap:
-    """The acceptance path: catalog publish under load from client
-    processes."""
+    """The acceptance path: catalog publish under load from socket
+    clients."""
 
     def test_publish_under_load_propagates_with_zero_failures(self, tmp_path):
         db = _make_mutable_db()
@@ -619,14 +618,15 @@ class TestCrossProcessHotSwap:
         server = EstimationServer(estimator, max_batch=4)
         with server, NetServer(server) as net:
             ingest = UpdateIngest(db, estimator)
-            # Load from two separate client processes, long enough to
-            # still be in flight when the republish below lands.
+            # Load from six socket clients, long enough to still be in
+            # flight when the republish below lands.
             load_report: dict = {}
 
             def run_load() -> None:
-                load_report.update(generate_load_net(
-                    *net.address, queries, 600, processes=2, concurrency=3,
-                ))
+                with connect_clients(*net.address, 6) as clients:
+                    load_report.update(
+                        generate_load([c.bound for c in clients], queries, 600)
+                    )
 
             loader = threading.Thread(target=run_load, daemon=True)
             loader.start()
@@ -644,10 +644,9 @@ class TestCrossProcessHotSwap:
             # Any request submitted after republish() returned must be
             # served on the new version: republish swaps the served
             # estimator before it returns.  Drive the post-swap requests
-            # through fresh client processes so the codec is covered.
-            post = generate_load_net(
-                *net.address, queries, 60, processes=2, concurrency=2,
-            )
+            # through fresh socket clients so the codec is covered.
+            with connect_clients(*net.address, 4) as clients:
+                post = generate_load([c.bound for c in clients], queries, 60)
             loader.join(120.0)
             assert not loader.is_alive()
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import threading
 import time
 
@@ -11,6 +13,7 @@ from repro.core.predicates import Eq, Range
 from repro.core.safebound import SafeBound
 from repro.db.query import Query
 from repro.obs.metrics import MetricsRegistry
+from repro.service.net import NetServer, connect_clients
 from repro.service.server import EstimationServer, ServerOverloadedError, generate_load
 
 
@@ -109,7 +112,7 @@ class TestMicroBatching:
         queries = _queries()
         direct = [built.bound(q) for q in queries]
         with EstimationServer(built, max_batch=32) as server:
-            report = generate_load(server, queries, num_requests=130, concurrency=10)
+            report = generate_load([server.bound] * 10, queries, num_requests=130)
         assert report["rejections"] == 0
         for i, result in enumerate(report["results"]):
             assert result == direct[i % len(queries)]
@@ -118,8 +121,8 @@ class TestMicroBatching:
         queries = _queries()
         slow = _SlowEstimator(built, delay=0.01)
         with EstimationServer(slow, max_batch=64) as server:
-            report = generate_load(server, queries, num_requests=96, concurrency=12)
-        metrics = report["metrics"]
+            generate_load([server.bound] * 12, queries, num_requests=96)
+        metrics = server.metrics_snapshot()
         batch_size = metrics["server.batch_size"]
         assert batch_size["count"] < metrics["server.accepted"]
         assert batch_size["sum"] == metrics["server.accepted"]
@@ -389,13 +392,32 @@ class TestAdmissionControl:
             assert server.bound(queries[0], timeout=5.0) == built.bound(queries[0])
         assert server.metrics.value("server.completed") == 1
 
-    def test_generate_load_survives_failing_requests(self):
+    @pytest.mark.parametrize("driver", ["in_process", "net"])
+    def test_generate_load_survives_failing_requests(self, driver):
         """Regression: a failed future used to kill its client thread,
-        silently dropping that worker's remaining requests."""
+        silently dropping that worker's remaining requests.  Over a
+        socket each failure is a typed error response, so the same load
+        loop reports it the same way; no client thread may hang."""
+        report: dict = {}
         with EstimationServer(_FailingEstimator()) as server:
-            report = generate_load(
-                server, _queries(), num_requests=24, concurrency=4, timeout=10.0
-            )
+            with contextlib.ExitStack() as stack:
+                if driver == "in_process":
+                    bounds = [functools.partial(server.bound, timeout=10.0)] * 4
+                else:
+                    net = stack.enter_context(NetServer(server))
+                    clients = stack.enter_context(
+                        connect_clients(*net.address, 4, timeout=10.0)
+                    )
+                    bounds = [c.bound for c in clients]
+                loader = threading.Thread(
+                    target=lambda: report.update(
+                        generate_load(bounds, _queries(), num_requests=24)
+                    ),
+                    daemon=True,
+                )
+                loader.start()
+                loader.join(60.0)
+                assert not loader.is_alive(), "a client thread hung"
         assert report["completed"] == 0
         assert len(report["errors"]) == 24  # every request reported, none dropped
         assert all(r is None for r in report["results"])
@@ -449,8 +471,8 @@ class TestMetrics:
     def test_latency_percentiles_ordered(self, built):
         queries = _queries()
         with EstimationServer(built) as server:
-            report = generate_load(server, queries, num_requests=100, concurrency=4)
-        metrics = report["metrics"]
+            generate_load([server.bound] * 4, queries, num_requests=100)
+        metrics = server.metrics_snapshot()
         for name in ("server.queue_seconds", "server.request_seconds"):
             summary = metrics[name]
             assert summary["count"] == 100
@@ -481,9 +503,9 @@ class TestMetrics:
         """8 client threads x 1000 requests: the server's accounting loses
         no update."""
         with EstimationServer(_RecordingEstimator(), max_queue=8000) as server:
-            report = generate_load(server, _queries(), num_requests=8000, concurrency=8)
+            report = generate_load([server.bound] * 8, _queries(), num_requests=8000)
         assert report["completed"] == 8000
-        metrics = report["metrics"]
+        metrics = server.metrics_snapshot()
         assert metrics["server.accepted"] == metrics["server.completed"] == 8000
         assert metrics["server.request_seconds"]["count"] == 8000
         assert metrics["server.queue_seconds"]["count"] == 8000
